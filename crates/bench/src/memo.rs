@@ -211,8 +211,18 @@ mod tests {
         assert_ne!(a, b);
     }
 
+    /// The cache is process-global, and the test harness runs tests on
+    /// parallel threads: tests that enable, fill or drop it hold this lock
+    /// so one cannot drop the cache under another.
+    static CACHE_TESTS: Mutex<()> = Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        CACHE_TESTS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn cached_cells_present_byte_identically() {
+        let _serial = serial();
         enable();
         let key = cell_key(&scenario(3, 0.1), &System::Sllm);
         assert!(lookup(key).is_none());
@@ -236,6 +246,7 @@ mod tests {
     /// regression the blind-trust 64-bit cache would have failed.
     #[test]
     fn forced_bucket_collision_does_not_cross_serve() {
+        let _serial = serial();
         enable();
         let real = cell_key(&scenario(5, 0.1), &System::Sllm);
         let metrics = System::Sllm.run_scenario(scenario(5, 0.1));

@@ -13,7 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use hwmodel::{HardwareSpec, ModelSpec, NoiseModel, PerfOracle};
+use hwmodel::{HardwareSpec, ModelSpec, NoiseModel, PerfOracle, Precision};
 use simcore::rng::SimRng;
 
 /// Interpolating predictor for one (model, hardware, share) combination.
@@ -141,27 +141,26 @@ fn interp1(samples: &[(u32, f64)], x: f64) -> f64 {
     if samples.len() == 1 {
         return samples[0].1;
     }
-    let xs: Vec<f64> = samples.iter().map(|&(l, _)| l as f64).collect();
-    let (i0, i1) = bracket_f(&xs, x);
-    let (x0, y0) = (xs[i0], samples[i0].1);
-    let (x1, y1) = (xs[i1], samples[i1].1);
+    let (i0, i1) = bracket_by(samples.len(), |i| samples[i].0 as f64, x);
+    let (x0, y0) = (samples[i0].0 as f64, samples[i0].1);
+    let (x1, y1) = (samples[i1].0 as f64, samples[i1].1);
     y0 + (y1 - y0) * frac(x0, x1, x)
 }
 
 /// Indices of the two grid points bracketing `x` (clamped extrapolation
 /// uses the outermost pair).
 fn bracket(grid: &[u32], x: f64) -> (usize, usize) {
-    let xs: Vec<f64> = grid.iter().map(|&g| g as f64).collect();
-    bracket_f(&xs, x)
+    bracket_by(grid.len(), |i| grid[i] as f64, x)
 }
 
-fn bracket_f(xs: &[f64], x: f64) -> (usize, usize) {
-    debug_assert!(!xs.is_empty());
-    if xs.len() == 1 {
+/// [`bracket`] over `n` ascending points read through `at`.
+fn bracket_by(n: usize, at: impl Fn(usize) -> f64, x: f64) -> (usize, usize) {
+    debug_assert!(n > 0);
+    if n == 1 {
         return (0, 0);
     }
     let mut i = 0;
-    while i + 2 < xs.len() && xs[i + 1] < x {
+    while i + 2 < n && at(i + 1) < x {
         i += 1;
     }
     (i, i + 1)
@@ -176,29 +175,89 @@ fn frac(x0: f64, x1: f64, x: f64) -> f64 {
 }
 
 /// Lazily-profiled quantifiers keyed by `(model name, hardware name,
-/// share, TP degree)`. A `BTreeMap` (not `HashMap`) so no future iteration
-/// over the set can leak hash-randomized order into policy behaviour —
-/// the same bug class PR 2's parked-scale-op map hit.
+/// share, TP degree, precision)`. Shares are keyed by their `{:.3}`
+/// rendering, so shares that print alike share a profile. A `BTreeMap`
+/// (not `HashMap`) so no future iteration over the set can leak
+/// hash-randomized order into policy behaviour — the bug class a
+/// hash-ordered map of parked scale ops once hit.
+///
+/// Lookups allocate nothing once a name or share has been seen: names and
+/// share renderings are interned to small ids, and each share's bit
+/// pattern is remembered with the id of its rendering.
 #[derive(Debug, Default)]
 pub struct QuantifierSet {
-    map: BTreeMap<(String, String), Quantifier>,
+    map: BTreeMap<ProfileKey, Quantifier>,
+    /// Interned model and hardware names.
+    names: BTreeMap<String, u32>,
+    /// Interned `{share:.3}` renderings.
+    share_classes: BTreeMap<String, u32>,
+    /// Share bit patterns seen so far, with the id of their rendering.
+    share_bits: BTreeMap<u64, u32>,
     rng: Option<SimRng>,
+}
+
+/// Identity of one profile: interned model name, interned hardware name,
+/// share class, TP degree, precision.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct ProfileKey {
+    model: u32,
+    hw: u32,
+    share: u32,
+    tp: u32,
+    precision: Precision,
+}
+
+/// The id of `s` in `table`, adding it on first sight.
+fn intern(table: &mut BTreeMap<String, u32>, s: &str) -> u32 {
+    if let Some(&id) = table.get(s) {
+        return id;
+    }
+    let id = table.len() as u32;
+    table.insert(s.to_owned(), id);
+    id
 }
 
 impl QuantifierSet {
     /// Creates an empty set whose profiling draws come from `seed`.
     pub fn new(seed: u64) -> Self {
         QuantifierSet {
-            map: BTreeMap::new(),
             rng: Some(SimRng::new(seed).split(0x9A17)),
+            ..QuantifierSet::default()
         }
     }
 
-    fn key(model: &ModelSpec, hw: &HardwareSpec, share: f64) -> (String, String) {
-        (
-            model.name.clone(),
-            format!("{}@{share:.3}@tp{}", hw.name, model.tp_degree.max(1)),
-        )
+    /// The key of `(model, hw, share)`, interning what is new.
+    fn intern_key(&mut self, model: &ModelSpec, hw: &HardwareSpec, share: f64) -> ProfileKey {
+        let share = match self.share_bits.get(&share.to_bits()) {
+            Some(&class) => class,
+            None => {
+                let class = intern(&mut self.share_classes, &format!("{share:.3}"));
+                self.share_bits.insert(share.to_bits(), class);
+                class
+            }
+        };
+        ProfileKey {
+            model: intern(&mut self.names, &model.name),
+            hw: intern(&mut self.names, &hw.name),
+            share,
+            tp: model.tp_degree.max(1),
+            precision: model.precision,
+        }
+    }
+
+    /// The key of `(model, hw, share)` if every part has been seen.
+    fn find_key(&self, model: &ModelSpec, hw: &HardwareSpec, share: f64) -> Option<ProfileKey> {
+        let share = match self.share_bits.get(&share.to_bits()) {
+            Some(&class) => class,
+            None => *self.share_classes.get(format!("{share:.3}").as_str())?,
+        };
+        Some(ProfileKey {
+            model: *self.names.get(model.name.as_str())?,
+            hw: *self.names.get(hw.name.as_str())?,
+            share,
+            tp: model.tp_degree.max(1),
+            precision: model.precision,
+        })
     }
 
     /// Returns the profile for `(model, hw, share)`, profiling on first use.
@@ -210,7 +269,7 @@ impl QuantifierSet {
         oracle: &dyn PerfOracle,
         noise: &NoiseModel,
     ) -> &Quantifier {
-        let key = Self::key(model, hw, share);
+        let key = self.intern_key(model, hw, share);
         let rng = self.rng.get_or_insert_with(|| SimRng::new(0));
         self.map
             .entry(key)
@@ -219,7 +278,7 @@ impl QuantifierSet {
 
     /// Immutable lookup of an already-profiled pair.
     pub fn get(&self, model: &ModelSpec, hw: &HardwareSpec, share: f64) -> Option<&Quantifier> {
-        self.map.get(&Self::key(model, hw, share))
+        self.map.get(&self.find_key(model, hw, share)?)
     }
 
     /// Number of profiled pairs.
@@ -389,5 +448,157 @@ mod tests {
         // A different share is a different profile.
         set.get_or_profile(&m, &hw, 0.5, &oracle, &noise);
         assert_eq!(set.len(), 2);
+    }
+
+    /// [`interp1`] and [`bracket`] as first written, collecting the grid
+    /// into a `Vec<f64>` on every call.
+    fn interp1_reference(samples: &[(u32, f64)], x: f64) -> f64 {
+        if samples.is_empty() {
+            return 0.0;
+        }
+        if samples.len() == 1 {
+            return samples[0].1;
+        }
+        let xs: Vec<f64> = samples.iter().map(|&(l, _)| l as f64).collect();
+        let (i0, i1) = bracket_f_reference(&xs, x);
+        let (x0, y0) = (xs[i0], samples[i0].1);
+        let (x1, y1) = (xs[i1], samples[i1].1);
+        y0 + (y1 - y0) * frac(x0, x1, x)
+    }
+
+    fn bracket_reference(grid: &[u32], x: f64) -> (usize, usize) {
+        let xs: Vec<f64> = grid.iter().map(|&g| g as f64).collect();
+        bracket_f_reference(&xs, x)
+    }
+
+    fn bracket_f_reference(xs: &[f64], x: f64) -> (usize, usize) {
+        if xs.len() == 1 {
+            return (0, 0);
+        }
+        let mut i = 0;
+        while i + 2 < xs.len() && xs[i + 1] < x {
+            i += 1;
+        }
+        (i, i + 1)
+    }
+
+    #[test]
+    fn interpolation_is_bit_equal_to_the_reference() {
+        let samples = [(16u32, 0.011), (32, 0.019), (64, 0.037), (128, 0.08)];
+        let one = [(512u32, 0.25)];
+        let grid: Vec<u32> = samples.iter().map(|&(l, _)| l).collect();
+        // Below the grid, on every grid point, between points, beyond it,
+        // and a fractional query.
+        let xs = [
+            0.0, 1.0, 15.0, 16.0, 20.0, 32.0, 47.5, 64.0, 100.0, 128.0, 129.0, 1e6,
+        ];
+        for x in xs {
+            assert_eq!(
+                interp1(&samples, x).to_bits(),
+                interp1_reference(&samples, x).to_bits(),
+                "interp1 at {x}"
+            );
+            assert_eq!(
+                bracket(&grid, x),
+                bracket_reference(&grid, x),
+                "bracket at {x}"
+            );
+            assert_eq!(
+                interp1(&one, x).to_bits(),
+                interp1_reference(&one, x).to_bits(),
+                "one-sample interp1 at {x}"
+            );
+            assert_eq!(bracket(&[512], x), bracket_reference(&[512], x));
+        }
+        assert_eq!(
+            interp1(&[], 3.0).to_bits(),
+            interp1_reference(&[], 3.0).to_bits()
+        );
+        // The whole query surface of a real profile, on and off its grid.
+        let q = profile(0.05);
+        for len in (1..=5000u32).step_by(37).chain([16, 4096, 8192, 9000]) {
+            assert_eq!(
+                interp1(&q.prefill, len as f64).to_bits(),
+                interp1_reference(&q.prefill, len as f64).to_bits(),
+                "prefill grid at {len}"
+            );
+            assert_eq!(
+                bracket(&q.lengths, len as f64),
+                bracket_reference(&q.lengths, len as f64)
+            );
+        }
+        for bs in 0..=300u32 {
+            assert_eq!(
+                bracket(&q.batches, bs as f64),
+                bracket_reference(&q.batches, bs as f64)
+            );
+        }
+    }
+
+    /// A stand-in oracle on which INT4 prefills pay a dequantization
+    /// overhead (the analytic model prices precision only in the decode
+    /// weights pass).
+    struct DequantPerf(AnalyticPerf);
+
+    impl PerfOracle for DequantPerf {
+        fn prefill_time(&self, model: &ModelSpec, hw: &HardwareSpec, len: u32, share: f64) -> f64 {
+            let t = self.0.prefill_time(model, hw, len, share);
+            match model.precision {
+                Precision::Fp16 => t,
+                Precision::Int4 => t * 1.25,
+            }
+        }
+
+        fn decode_time(
+            &self,
+            model: &ModelSpec,
+            hw: &HardwareSpec,
+            batch: u32,
+            ctx: u64,
+            share: f64,
+        ) -> f64 {
+            self.0.decode_time(model, hw, batch, ctx, share)
+        }
+    }
+
+    #[test]
+    fn precision_is_part_of_the_profile_key() {
+        let oracle = DequantPerf(AnalyticPerf::new());
+        let noise = NoiseModel::off();
+        let hw = HardwareSpec::a100_80g();
+        let fp16 = ModelSpec::codestral_22b();
+        let int4 = fp16.clone().with_precision(Precision::Int4);
+        assert_eq!(fp16.name, int4.name);
+        let mut set = QuantifierSet::new(1);
+        let p_fp16 = set
+            .get_or_profile(&fp16, &hw, 1.0, &oracle, &noise)
+            .prefill_s(2048);
+        let p_int4 = set
+            .get_or_profile(&int4, &hw, 1.0, &oracle, &noise)
+            .prefill_s(2048);
+        assert_eq!(set.len(), 2, "same name, different precision");
+        assert!(p_int4 > p_fp16, "{p_int4} vs {p_fp16}");
+        let q_fp16 = set.get(&fp16, &hw, 1.0).expect("profiled");
+        let q_int4 = set.get(&int4, &hw, 1.0).expect("profiled");
+        assert_eq!(q_fp16.prefill_s(2048), p_fp16);
+        assert_eq!(q_int4.prefill_s(2048), p_int4);
+        assert!(q_int4.decode_s(8, 1024) < q_fp16.decode_s(8, 1024));
+    }
+
+    #[test]
+    fn shares_that_print_alike_share_a_profile() {
+        let oracle = AnalyticPerf::new();
+        let noise = NoiseModel::off();
+        let m = ModelSpec::llama2_7b();
+        let hw = HardwareSpec::a100_80g();
+        let mut set = QuantifierSet::new(1);
+        set.get_or_profile(&m, &hw, 0.5, &oracle, &noise);
+        // 0.5 + 1e-9 renders as "0.500": same class, looked up both ways.
+        assert!(set.get(&m, &hw, 0.5 + 1e-9).is_some());
+        set.get_or_profile(&m, &hw, 0.5 + 1e-9, &oracle, &noise);
+        assert_eq!(set.len(), 1);
+        assert!(set.get(&m, &hw, 0.5004).is_some());
+        assert!(set.get(&m, &hw, 0.501).is_none());
+        assert!(set.get(&m, &HardwareSpec::xeon4_amx_32c(), 0.5).is_none());
     }
 }

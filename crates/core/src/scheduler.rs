@@ -16,6 +16,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use cluster::{ClusterEvent, MemError, NodeId, Policy, World};
 use engine::instance::{InstanceId, InstanceState, IterationKind};
 use engine::request::{ReqPhase, RunningRequest};
+use hwmodel::HardwareSpec;
 use simcore::time::{SimDuration, SimTime};
 use workload::request::{ModelId, RequestId};
 
@@ -33,6 +34,18 @@ const TAG_SWEEP: u64 = 1 << 62;
 
 /// Liveness sweep period.
 const SWEEP_PERIOD: SimDuration = SimDuration::from_millis(500);
+
+/// `r` as the shadow validator sees it, held to its SLO from `anchor`.
+fn shadow_req(w: &World, r: &RunningRequest, anchor: SimTime) -> ShadowReq {
+    ShadowReq {
+        anchor,
+        slo: w.slo_for(&r.req),
+        input_len: r.req.input_len,
+        tokens_done: r.tokens_out,
+        prefill_len: r.prefill_len(),
+        waiting: matches!(r.phase, ReqPhase::Waiting),
+    }
+}
 
 /// The SLINFER serving policy.
 ///
@@ -156,29 +169,31 @@ impl Slinfer {
     /// Profiles one `(model spec, node hardware, share)` combination; the
     /// spec's TP degree is folded into the profile by the quantifier.
     fn ensure_profile(&mut self, w: &World, node: NodeId, model: ModelId, share: f64) {
-        let hw = w.node_hw(node).clone();
-        let spec = w.model_spec(model).clone();
-        self.quant
-            .get_or_profile(&spec, &hw, share, w.perf(), &w.cfg.noise);
+        self.quant.get_or_profile(
+            w.model_spec(model),
+            w.node_hw(node),
+            share,
+            w.perf(),
+            &w.cfg.noise,
+        );
     }
 
     /// Profiles every listed instance at its own placement share (TP
     /// groups own more compute than their node's single-slot share).
     fn ensure_instance_profiles(&mut self, w: &World, node: NodeId, ids: &[InstanceId]) {
-        let hw = w.node_hw(node).clone();
+        let hw = w.node_hw(node);
         for &id in ids {
             let Some(i) = w.instance(id) else { continue };
-            let spec = i.spec.clone();
             let share = w.instance_share(id);
             self.quant
-                .get_or_profile(&spec, &hw, share, w.perf(), &w.cfg.noise);
+                .get_or_profile(&i.spec, hw, share, w.perf(), &w.cfg.noise);
         }
     }
 
     /// Whether a CPU node can hold this request's SLO at all (§V's
     /// "transparently falls back to GPU" check).
     fn request_feasible_on(&mut self, w: &World, node: NodeId, rr: &RunningRequest) -> bool {
-        let hw = w.node_hw(node).clone();
+        let hw = w.node_hw(node);
         if !hw.kind.is_cpu() {
             return true;
         }
@@ -188,7 +203,7 @@ impl Slinfer {
         };
         self.ensure_profile(w, node, model, share);
         let spec = w.model_spec(model);
-        let q = self.quant.get(spec, &hw, share).expect("just profiled");
+        let q = self.quant.get(spec, hw, share).expect("just profiled");
         let slo = w.slo_for(&rr.req);
         let over = self.cfg.overestimate;
         let prefill_ok =
@@ -200,11 +215,10 @@ impl Slinfer {
 
     fn shadow_start(&self, w: &World, node: NodeId, slot: usize, target: InstanceId) -> SimTime {
         let mut start = w.now();
-        let group: Vec<usize> = w
+        let group = w
             .instance_slots(target)
-            .map(|s| s.to_vec())
-            .unwrap_or_else(|| vec![slot]);
-        for s in group {
+            .unwrap_or(std::slice::from_ref(&slot));
+        for &s in group {
             if let Some(&b) = self.busy_until.get(&(node.0, s)) {
                 start = start.max(b);
             }
@@ -222,11 +236,33 @@ impl Slinfer {
     fn colocated(w: &World, node: NodeId, slots: &[usize]) -> Vec<InstanceId> {
         let mut ids: Vec<InstanceId> = slots
             .iter()
-            .flat_map(|&s| w.instances_on_slot(node, s))
+            .flat_map(|&s| w.slot_instances(node, s).iter().copied())
             .collect();
         ids.sort_unstable();
         ids.dedup();
         ids
+    }
+
+    /// The validator's view of instance `id` on hardware `hw`, with room
+    /// for a candidate. Requests admitted during a cold start have not
+    /// received their grace yet; they are anchored at the expected
+    /// activation instead.
+    fn instance_view(&self, w: &World, hw: &HardwareSpec, id: InstanceId) -> InstView<'_> {
+        let inst = w.instance(id).expect("listed");
+        let quant = self
+            .quant
+            .get(&inst.spec, hw, w.instance_share(id))
+            .expect("profiled above");
+        let pending_act = self.expected_active.get(&id).copied();
+        let mut reqs = Vec::with_capacity(inst.requests().len() + 1);
+        reqs.extend(inst.requests().iter().map(|r| {
+            let mut anchor = r.req.arrival + r.grace;
+            if let (Some(act), true) = (pending_act, r.grace.is_zero()) {
+                anchor = anchor.max(act);
+            }
+            shadow_req(w, r, anchor)
+        }));
+        InstView { quant, reqs }
     }
 
     /// Shadow-validates admitting `rr` to `target` (§VI-C).
@@ -234,13 +270,12 @@ impl Slinfer {
         let Some((node, slot)) = w.instance_placement(target) else {
             return false;
         };
-        let target_slots: Vec<usize> = w
+        let target_slots = w
             .instance_slots(target)
-            .map(|s| s.to_vec())
-            .unwrap_or_else(|| vec![slot]);
-        let ids = Self::colocated(w, node, &target_slots);
+            .unwrap_or(std::slice::from_ref(&slot));
+        let ids = Self::colocated(w, node, target_slots);
         self.ensure_instance_profiles(w, node, &ids);
-        let hw = w.node_hw(node).clone();
+        let hw = w.node_hw(node);
         let start = self.shadow_start(w, node, slot, target);
         // Candidate's grace: admitted-during-load requests get the load
         // duration; approximate with expected activation for loading targets.
@@ -251,44 +286,12 @@ impl Slinfer {
         let mut views = Vec::with_capacity(ids.len());
         let mut target_ix = 0;
         for (k, &id) in ids.iter().enumerate() {
-            let inst = w.instance(id).expect("listed");
-            let q = self
-                .quant
-                .get(&inst.spec, &hw, w.instance_share(id))
-                .expect("profiled above");
-            // Requests admitted during a cold start have not received their
-            // grace yet; anchor them at the expected activation instead.
-            let pending_act = self.expected_active.get(&id).copied();
-            let mut reqs: Vec<ShadowReq> = inst
-                .requests()
-                .iter()
-                .map(|r| {
-                    let mut anchor = r.req.arrival + r.grace;
-                    if let (Some(act), true) = (pending_act, r.grace.is_zero()) {
-                        anchor = anchor.max(act);
-                    }
-                    ShadowReq {
-                        anchor,
-                        slo: w.slo_for(&r.req),
-                        input_len: r.req.input_len,
-                        tokens_done: r.tokens_out,
-                        prefill_len: r.prefill_len(),
-                        waiting: matches!(r.phase, ReqPhase::Waiting),
-                    }
-                })
-                .collect();
+            let mut view = self.instance_view(w, hw, id);
             if id == target {
                 target_ix = k;
-                reqs.push(ShadowReq {
-                    anchor: cand_anchor,
-                    slo: w.slo_for(&rr.req),
-                    input_len: rr.req.input_len,
-                    tokens_done: rr.tokens_out,
-                    prefill_len: rr.prefill_len(),
-                    waiting: matches!(rr.phase, ReqPhase::Waiting),
-                });
+                view.reqs.push(shadow_req(w, rr, cand_anchor));
             }
-            views.push(InstView { quant: q, reqs });
+            views.push(view);
         }
         let cand_ix = views[target_ix].reqs.len() - 1;
         w.note_shadow_validation();
@@ -698,7 +701,7 @@ impl Slinfer {
         self.ensure_instance_profiles(w, node, &ids);
         let cand_share: f64 = group.iter().map(|&s| w.slot_share(node, s)).sum();
         self.ensure_profile(w, node, rr.req.model, cand_share);
-        let hw = w.node_hw(node).clone();
+        let hw = w.node_hw(node);
         let mut start = w.now();
         for &s in group {
             if let Some(&b) = self.busy_until.get(&(node.0, s)) {
@@ -709,47 +712,16 @@ impl Slinfer {
         let act = w.now() + SimDuration::from_secs_f64(w.estimate_load_s(rr.req.model, node));
         let mut views = Vec::with_capacity(ids.len() + 1);
         for &id in &ids {
-            let inst = w.instance(id).expect("listed");
-            let q = self
-                .quant
-                .get(&inst.spec, &hw, w.instance_share(id))
-                .expect("profiled above");
-            let pending_act = self.expected_active.get(&id).copied();
-            let reqs: Vec<ShadowReq> = inst
-                .requests()
-                .iter()
-                .map(|r| {
-                    let mut anchor = r.req.arrival + r.grace;
-                    if let (Some(act), true) = (pending_act, r.grace.is_zero()) {
-                        anchor = anchor.max(act);
-                    }
-                    ShadowReq {
-                        anchor,
-                        slo: w.slo_for(&r.req),
-                        input_len: r.req.input_len,
-                        tokens_done: r.tokens_out,
-                        prefill_len: r.prefill_len(),
-                        waiting: matches!(r.phase, ReqPhase::Waiting),
-                    }
-                })
-                .collect();
-            views.push(InstView { quant: q, reqs });
+            views.push(self.instance_view(w, hw, id));
         }
         let spec = w.model_spec(rr.req.model);
         let q_new = self
             .quant
-            .get(spec, &hw, cand_share)
+            .get(spec, hw, cand_share)
             .expect("profiled above");
         views.push(InstView {
             quant: q_new,
-            reqs: vec![ShadowReq {
-                anchor: act.max(rr.req.arrival + rr.grace),
-                slo: w.slo_for(&rr.req),
-                input_len: rr.req.input_len,
-                tokens_done: rr.tokens_out,
-                prefill_len: rr.prefill_len(),
-                waiting: matches!(rr.phase, ReqPhase::Waiting),
-            }],
+            reqs: vec![shadow_req(w, rr, act.max(rr.req.arrival + rr.grace))],
         });
         let target = views.len() - 1;
         w.note_shadow_validation();

@@ -8,7 +8,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Numeric precision of the served weights.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum Precision {
     /// 16-bit floating point (2 bytes/parameter) — the paper's default.
     Fp16,
