@@ -197,7 +197,11 @@ impl Policy for PdSllm {
     }
 
     fn on_slot_free(&mut self, w: &mut World, node: NodeId, slot: usize) {
-        for inst in w.instances_on_slot(node, slot) {
+        // Walked by position: starting an iteration creates or unloads no
+        // instance, so the slot list cannot change under the walk.
+        let mut k = 0;
+        while let Some(&inst) = w.slot_instances(node, slot).get(k) {
+            k += 1;
             let Some(i) = w.instance(inst) else { continue };
             if !i.has_work() {
                 continue;

@@ -331,8 +331,12 @@ impl Policy for Sllm {
     }
 
     fn on_slot_free(&mut self, w: &mut World, node: NodeId, slot: usize) {
-        // vLLM-style: eager FIFO prefill, else decode.
-        for inst in w.instances_on_slot(node, slot) {
+        // vLLM-style: eager FIFO prefill, else decode. The slot list is
+        // walked by position: starting an iteration creates or unloads no
+        // instance, so the list cannot change under the walk.
+        let mut k = 0;
+        while let Some(&inst) = w.slot_instances(node, slot).get(k) {
+            k += 1;
             let Some(i) = w.instance(inst) else { continue };
             if !i.has_work() {
                 continue;
@@ -387,8 +391,7 @@ impl Policy for Sllm {
                 .filter(|r| !matches!(r.phase, ReqPhase::Prefilling))
                 .max_by(|a, b| {
                     a.headroom(now, &w.slo_for(&a.req))
-                        .partial_cmp(&b.headroom(now, &w.slo_for(&b.req)))
-                        .unwrap()
+                        .total_cmp(&b.headroom(now, &w.slo_for(&b.req)))
                 })
                 .map(|r| r.req.id)
         });
@@ -593,6 +596,43 @@ mod tests {
         let m3 =
             Simulation::new(&cluster3, ms3, quiet(), Sllm::new(SllmConfig::sllm())).run(&trace3);
         assert!(m3.slo_met() <= 2, "no third group exists on a 4-slot node");
+    }
+
+    /// Pins the victim tie-break: two identical waiting requests have
+    /// bit-equal headroom, and `max_by` keeps the *last* maximum, so the
+    /// later-admitted one is evicted.
+    #[test]
+    fn alloc_failure_victim_tie_breaks_to_the_last_request() {
+        use cluster::RunMetrics;
+        let reqs: Vec<Request> = (0..2)
+            .map(|i| Request {
+                id: RequestId(i),
+                model: ModelId(0),
+                arrival: SimTime::ZERO,
+                input_len: 256,
+                output_len: 8,
+                class: SloClass::default(),
+                session: Default::default(),
+            })
+            .collect();
+        let mut w = World::new(&ClusterSpec::heterogeneous(0, 1), models(1), quiet());
+        w.metrics = RunMetrics::for_trace(&reqs);
+        let inst = w
+            .create_instance(ModelId(0), NodeId(0), 0, 8_000_000_000)
+            .expect("fits");
+        w.instance_mut(inst)
+            .expect("created")
+            .activate(SimTime::ZERO);
+        for r in &reqs {
+            w.admit(inst, RunningRequest::new(*r));
+        }
+        let mut policy = Sllm::new(SllmConfig::sllm());
+        policy.on_alloc_failure(&mut w, inst, RequestId(0));
+        // The victim may be re-placed anywhere (even back onto `inst`);
+        // its record's migration stamp names it.
+        let stamps: Vec<u32> = w.metrics.records.iter().map(|r| r.migrations).collect();
+        assert_eq!(stamps, vec![0, 1], "the last tied request is evicted");
+        assert_eq!(w.metrics.migrations, 1);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! Construction is cheap relative to a run (a `World` is vectors and an
 //! empty event heap), so workers build each simulation from scratch.
 
-use engine::instance::IterationKind;
+use engine::instance::{DecodeOutcome, IterationKind};
 use engine::request::RunningRequest;
 use hwmodel::ModelSpec;
 use simcore::time::SimTime;
@@ -31,6 +31,9 @@ pub struct Simulation<P: Policy> {
     pub world: World,
     /// System under test.
     pub policy: P,
+    /// The decode-outcome buffer every `IterationDone` refills, so a decode
+    /// iteration allocates nothing once it has grown to the largest batch.
+    decode: DecodeOutcome,
 }
 
 impl<P: Policy> Simulation<P> {
@@ -39,6 +42,7 @@ impl<P: Policy> Simulation<P> {
         Simulation {
             world: World::new(cluster, models, cfg),
             policy,
+            decode: DecodeOutcome::default(),
         }
     }
 
@@ -133,11 +137,11 @@ impl<P: Policy> Simulation<P> {
                         }
                     }
                     IterationKind::Decode => {
-                        let outcome = w
-                            .instance_mut(inst)
+                        let outcome = &mut self.decode;
+                        w.instance_mut(inst)
                             // detlint::allow(D005, "the event dispatch above already dropped stale IterationDone events for unloaded instances")
                             .expect("checked above")
-                            .finish_decode(now, elapsed);
+                            .finish_decode_into(now, elapsed, outcome);
                         w.count_decode_tokens(inst, outcome.produced.len() as u64);
                         for &(id, tokens_out, _) in &outcome.produced {
                             let slo = w.slo_for_id(id);

@@ -420,6 +420,123 @@ impl InstanceIndex {
     }
 }
 
+/// `slot_of` entry of an id with no live value.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Dense id-keyed storage for [`World`]'s hosted instances.
+///
+/// The token-iteration path looks its instance up about a dozen times per
+/// `IterationDone`, so a lookup is one index into `slot_of` and one into
+/// `slab` instead of a tree descent:
+/// - `slab` holds the values; slots vacated by removals are recycled
+///   through `free`, so the slab tracks the *live* population, not every
+///   instance a churn-heavy run ever created;
+/// - `slot_of[id]` is the id's slab slot, [`NO_SLOT`] once it is removed
+///   (ids are handed out monotonically, so this costs 4 bytes per id
+///   ever issued and a recycled slot can never answer for a dead id);
+/// - `live` lists the live ids in ascending order.
+///
+/// [`InstanceArena::values`] and friends walk `live`, so they visit live
+/// instances only, in exactly the ascending-id order of the `BTreeMap`
+/// this replaced. Float accumulations over instances (occupancy samples,
+/// end-of-run lifetimes) depend on that order to stay bit-identical.
+struct InstanceArena<T> {
+    slab: Vec<Option<T>>,
+    free: Vec<u32>,
+    slot_of: Vec<u32>,
+    live: Vec<InstanceId>,
+}
+
+impl<T> InstanceArena<T> {
+    fn new() -> Self {
+        InstanceArena {
+            slab: Vec::new(),
+            free: Vec::new(),
+            slot_of: Vec::new(),
+            live: Vec::new(),
+        }
+    }
+
+    fn slot(&self, id: InstanceId) -> Option<usize> {
+        match self.slot_of.get(id.0 as usize) {
+            Some(&s) if s != NO_SLOT => Some(s as usize),
+            _ => None,
+        }
+    }
+
+    fn get(&self, id: InstanceId) -> Option<&T> {
+        self.slab[self.slot(id)?].as_ref()
+    }
+
+    fn get_mut(&mut self, id: InstanceId) -> Option<&mut T> {
+        let s = self.slot(id)?;
+        self.slab[s].as_mut()
+    }
+
+    /// Inserts the value for a fresh `id`, one above every id inserted
+    /// before — `World` hands ids out monotonically — so the ascending
+    /// live list grows by an append.
+    fn insert(&mut self, id: InstanceId, value: T) {
+        let ix = id.0 as usize;
+        debug_assert!(
+            ix >= self.slot_of.len(),
+            "instance ids must be fresh and ascending"
+        );
+        let s = match self.free.pop() {
+            Some(s) => {
+                self.slab[s as usize] = Some(value);
+                s
+            }
+            None => {
+                self.slab.push(Some(value));
+                (self.slab.len() - 1) as u32
+            }
+        };
+        if ix >= self.slot_of.len() {
+            self.slot_of.resize(ix + 1, NO_SLOT);
+        }
+        self.slot_of[ix] = s;
+        self.live.push(id);
+    }
+
+    fn remove(&mut self, id: InstanceId) -> Option<T> {
+        let s = self.slot(id)?;
+        self.slot_of[id.0 as usize] = NO_SLOT;
+        self.free.push(s as u32);
+        if let Ok(pos) = self.live.binary_search(&id) {
+            self.live.remove(pos);
+        }
+        self.slab[s].take()
+    }
+
+    /// Live ids, ascending.
+    fn keys(&self) -> impl Iterator<Item = InstanceId> + '_ {
+        self.live.iter().copied()
+    }
+
+    /// Live values in ascending id order.
+    fn values(&self) -> impl Iterator<Item = &T> + '_ {
+        self.iter().map(|(_, v)| v)
+    }
+
+    /// Live `(id, value)` pairs in ascending id order.
+    fn iter(&self) -> impl Iterator<Item = (&InstanceId, &T)> + '_ {
+        self.live
+            .iter()
+            .filter_map(|id| Some((id, self.slab[self.slot(*id)?].as_ref()?)))
+    }
+}
+
+impl<T> std::ops::Index<&InstanceId> for InstanceArena<T> {
+    type Output = T;
+
+    /// The `BTreeMap` indexing contract: the id must be live.
+    fn index(&self, id: &InstanceId) -> &T {
+        // detlint::allow(D005, "same contract as the BTreeMap index it replaces: World indexes only ids it just looked up or that its documented # Panics preconditions require to be live")
+        self.get(*id).expect("unknown instance")
+    }
+}
+
 /// The live cluster state. See module docs.
 pub struct World {
     /// Run configuration.
@@ -427,7 +544,7 @@ pub struct World {
     clock: SimTime,
     pub(crate) events: EventQueue<Event>,
     nodes: Vec<NodeState>,
-    instances: BTreeMap<InstanceId, Hosted>,
+    instances: InstanceArena<Hosted>,
     /// Indexed views of `instances` (per node / slot / model), maintained
     /// incrementally so hot-path lookups avoid full-map scans.
     index: InstanceIndex,
@@ -472,7 +589,7 @@ impl World {
             clock: SimTime::ZERO,
             events: EventQueue::new(),
             nodes,
-            instances: BTreeMap::new(),
+            instances: InstanceArena::new(),
             index,
             next_instance: 1,
             models,
@@ -603,24 +720,24 @@ impl World {
 
     /// The instance, if it exists.
     pub fn instance(&self, id: InstanceId) -> Option<&Instance> {
-        self.instances.get(&id).map(|h| &h.inst)
+        self.instances.get(id).map(|h| &h.inst)
     }
 
     /// Mutable instance access (policies use it for migration draining).
     pub fn instance_mut(&mut self, id: InstanceId) -> Option<&mut Instance> {
-        self.instances.get_mut(&id).map(|h| &mut h.inst)
+        self.instances.get_mut(id).map(|h| &mut h.inst)
     }
 
     /// Placement of an instance: its node and *primary* slot. Use
     /// [`World::instance_slots`] for the full tensor-parallel group.
     pub fn instance_placement(&self, id: InstanceId) -> Option<(NodeId, usize)> {
-        self.instances.get(&id).map(|h| (h.node, h.slot()))
+        self.instances.get(id).map(|h| (h.node, h.slot()))
     }
 
     /// The full slot group an instance spans (ascending; length 1 for
     /// plain instances, `tp` for tensor-parallel placements).
     pub fn instance_slots(&self, id: InstanceId) -> Option<&[usize]> {
-        self.instances.get(&id).map(|h| h.slots.as_slice())
+        self.instances.get(id).map(|h| h.slots.as_slice())
     }
 
     /// Aggregate compute share of an instance's slot group — what the
@@ -666,7 +783,7 @@ impl World {
 
     /// All instance ids (ascending).
     pub fn instance_ids(&self) -> Vec<InstanceId> {
-        self.instances.keys().cloned().collect()
+        self.instances.keys().collect()
     }
 
     /// Instances hosted on `node`.
@@ -1008,7 +1125,7 @@ impl World {
             None => (dest, bytes_left / (remote_bw * 1e9)),
         };
         self.instances
-            .get_mut(&inst)
+            .get_mut(inst)
             // detlint::allow(D005, "reroute only runs for instances the failing node's loading list still names; absence is directory corruption")
             .expect("reroute target exists")
             .load_channel = (channel != dest).then_some(channel);
@@ -1046,7 +1163,7 @@ impl World {
         if !self.cfg.dist.cache_aware {
             return false;
         }
-        let (model, node, defers) = match self.instances.get(&inst) {
+        let (model, node, defers) = match self.instances.get(inst) {
             Some(h) => (h.inst.model, h.node, h.keepalive_defers),
             None => return false,
         };
@@ -1072,7 +1189,7 @@ impl World {
             return false;
         }
         self.instances
-            .get_mut(&inst)
+            .get_mut(inst)
             // detlint::allow(D005, "the same map was read a few lines up; between the two lookups nothing can remove the instance")
             .expect("checked above")
             .keepalive_defers += 1;
@@ -1260,7 +1377,7 @@ impl World {
             // and the whole channel is rescheduled.
             if ch != ix {
                 self.instances
-                    .get_mut(&id)
+                    .get_mut(id)
                     // detlint::allow(D005, "this function inserted `id` into the map earlier in the same call")
                     .expect("just inserted")
                     .load_channel = Some(NodeId(ch as u32));
@@ -1374,7 +1491,7 @@ impl World {
         if epoch == 0 {
             return Some(elapsed);
         }
-        let node_ix = match self.instances.get(&inst) {
+        let node_ix = match self.instances.get(inst) {
             // A peer fetch lives on the *source* node's channel.
             Some(h) => h.load_channel.unwrap_or(h.node).0 as usize,
             // The instance died (NodeFail / drain unload) with its load.
@@ -1397,12 +1514,10 @@ impl World {
     /// Panics if the instance does not exist.
     pub fn admit(&mut self, inst: InstanceId, rr: RunningRequest) {
         // detlint::allow(D005, "documented # Panics contract: callers admit only to instances they just placed or looked up")
-        let h = self.instances.get_mut(&inst).expect("unknown instance");
-        let node = h.node;
-        let group = h.slots.clone();
+        let h = self.instances.get_mut(inst).expect("unknown instance");
         h.inst.admit(rr);
-        for s in group {
-            self.wake.push((node, s));
+        for &s in &h.slots {
+            self.wake.push((h.node, s));
         }
     }
 
@@ -1415,17 +1530,15 @@ impl World {
     #[must_use]
     pub fn admit_decoding(&mut self, inst: InstanceId, rr: RunningRequest) -> bool {
         // detlint::allow(D005, "documented # Panics contract: PD handoff targets are validated by the policy before the ship")
-        let h = self.instances.get_mut(&inst).expect("unknown instance");
+        let h = self.instances.get_mut(inst).expect("unknown instance");
         if h.inst.scaling {
             // The block array is being rebuilt; admitting now could push
             // live usage past an in-flight shrink target.
             return false;
         }
-        let node = h.node;
-        let group = h.slots.clone();
         if h.inst.admit_decoding(rr) {
-            for s in group {
-                self.wake.push((node, s));
+            for &s in &h.slots {
+                self.wake.push((h.node, s));
             }
             true
         } else {
@@ -1444,13 +1557,15 @@ impl World {
         inst: InstanceId,
         kind: IterationKind,
     ) -> Result<SimDuration, StartError> {
-        // detlint::allow(D005, "documented # Panics contract: iteration starts name instances the caller holds")
-        let (node, _) = self.instance_placement(inst).expect("unknown instance");
-        if self.instance_group_busy(inst) {
+        // Indexing panics on an unknown id: the documented # Panics contract.
+        let h = &self.instances[&inst];
+        let node_ix = h.node.0 as usize;
+        let n = &self.nodes[node_ix];
+        if h.slots.iter().any(|&s| n.slot_busy[s]) {
             return Err(StartError::GroupBusy);
         }
-        let share = self.instance_share(inst);
-        let hw = self.nodes[node.0 as usize].hw.clone();
+        // The group's summed share, exactly as `instance_share` adds it.
+        let share: f64 = h.slots.iter().map(|&s| n.slot_shares[s]).sum();
         // Session KV migration pre-pass: if the prefill about to start is a
         // follow-up turn whose parked KV sits on a *different* instance and
         // migration is on, pull the entry over before `begin_prefill` runs so
@@ -1459,13 +1574,14 @@ impl World {
         let mut migrated: Option<(u64, u32)> = None;
         if self.cfg.sessions.enabled && self.cfg.sessions.migrate_kv {
             if let IterationKind::Prefill(req) = kind {
-                if let Some(tag) = self.instances[&inst].inst.queued_session(req) {
-                    if tag.is_followup() && !self.instances[&inst].inst.has_session(tag.id) {
+                let target = &self.instances[&inst].inst;
+                if let Some(tag) = target.queued_session(req) {
+                    if tag.is_followup() && !target.has_session(tag.id) {
                         if let Some(&home) = self.session_home.get(&tag.id) {
                             if home != inst {
                                 if let Some(tokens) = self
                                     .instances
-                                    .get_mut(&home)
+                                    .get_mut(home)
                                     .and_then(|hh| hh.inst.evict_session(tag.id))
                                 {
                                     migrated = Some((tag.id, tokens));
@@ -1477,10 +1593,11 @@ impl World {
             }
         }
         // detlint::allow(D005, "same instance re-fetched after the immutable borrows above released; nothing removed it in between")
-        let h = self.instances.get_mut(&inst).expect("unknown instance");
+        let h = self.instances.get_mut(inst).expect("unknown instance");
         if let Some((sid, tokens)) = migrated {
             h.inst.import_session(sid, tokens);
         }
+        let hw = &self.nodes[node_ix].hw;
         let tp = h.inst.tp;
         let base = match kind {
             IterationKind::Prefill(req) => {
@@ -1490,7 +1607,7 @@ impl World {
                 };
                 let mut base =
                     self.perf
-                        .prefill_time_tp(&h.inst.spec, &hw, ps.compute_tokens, share, tp);
+                        .prefill_time_tp(&h.inst.spec, hw, ps.compute_tokens, share, tp);
                 if ps.cached_tokens > 0 {
                     self.metrics.record_mut(req).prefix_cached = ps.cached_tokens;
                     match migrated {
@@ -1510,13 +1627,13 @@ impl World {
             IterationKind::Decode => {
                 let (bs, ctx) = h.inst.begin_decode();
                 self.perf
-                    .decode_time_tp(&h.inst.spec, &hw, bs, ctx, share, tp)
+                    .decode_time_tp(&h.inst.spec, hw, bs, ctx, share, tp)
             }
         };
         let dur = SimDuration::from_secs_f64(self.cfg.noise.apply(base, &mut self.rng));
-        let group = self.instances[&inst].slots.clone();
-        for &s in &group {
-            self.nodes[node.0 as usize].slot_busy[s] = true;
+        let busy = &mut self.nodes[node_ix].slot_busy;
+        for &s in &h.slots {
+            busy[s] = true;
         }
         self.events.push(
             self.clock + dur,
@@ -1548,7 +1665,7 @@ impl World {
             // shedding idle sessions (coldest first) before refusing the
             // shrink on behalf of the truly live set.
             // detlint::allow(D005, "same instance re-fetched mutably; nothing removed it in between")
-            let h = self.instances.get_mut(&inst).expect("unknown instance");
+            let h = self.instances.get_mut(inst).expect("unknown instance");
             h.inst.evict_sessions_to_fit(to_bytes);
             if h.inst.kv_used_bytes() > to_bytes {
                 return Err(MemError::BelowLiveSet);
@@ -1568,12 +1685,13 @@ impl World {
             }
             self.nodes[node.0 as usize].committed += delta;
         }
-        let hw = self.nodes[node.0 as usize].hw.clone();
         let used = h.inst.kv_used_bytes();
-        let base = self.perf.kv_scale_time(&hw, from_bytes, to_bytes, used);
+        let base =
+            self.perf
+                .kv_scale_time(&self.nodes[node.0 as usize].hw, from_bytes, to_bytes, used);
         let dur = SimDuration::from_secs_f64(self.cfg.noise.apply(base, &mut self.rng));
         // detlint::allow(D005, "same instance re-fetched mutably after the perf-model reads; nothing removed it in between")
-        let h = self.instances.get_mut(&inst).expect("unknown instance");
+        let h = self.instances.get_mut(inst).expect("unknown instance");
         h.inst.scaling = true;
         self.events.push(
             self.clock + dur,
@@ -1594,7 +1712,7 @@ impl World {
     /// is mid-rescale.
     pub fn unload_instance(&mut self, inst: InstanceId) {
         // detlint::allow(D005, "documented # Panics contract: unloads name instances the policy holds")
-        let h = self.instances.remove(&inst).expect("unknown instance");
+        let h = self.instances.remove(inst).expect("unknown instance");
         assert!(
             !h.inst.has_live_requests() && !h.inst.busy && !h.inst.scaling,
             "unloading a non-idle instance"
@@ -1642,7 +1760,7 @@ impl World {
     /// Schedules the keep-alive check for an instance that just went idle.
     /// Driver and policies call this after observing `idle_since` change.
     pub fn schedule_keepalive(&mut self, inst: InstanceId) {
-        if let Some(h) = self.instances.get(&inst) {
+        if let Some(h) = self.instances.get(inst) {
             if let Some(marker) = h.inst.idle_since {
                 self.events.push(
                     marker + self.cfg.keep_alive,
@@ -1706,7 +1824,7 @@ impl World {
             return None;
         }
         let home = *self.session_home.get(&req.session.id)?;
-        let h = self.instances.get(&home)?;
+        let h = self.instances.get(home)?;
         if h.inst.model != req.model || !h.inst.has_session(req.session.id) {
             return None;
         }
@@ -1729,7 +1847,7 @@ impl World {
         }
         let parked = self
             .instances
-            .get(&inst)
+            .get(inst)
             .is_some_and(|h| h.inst.has_session(rr.req.session.id));
         if parked {
             self.session_home.insert(rr.req.session.id, inst);
@@ -1774,7 +1892,7 @@ impl World {
                 if self.cfg.dist.enabled() {
                     self.settle_loads(node.0 as usize);
                     for (&id, l) in &self.nodes[node.0 as usize].loads {
-                        if let Some(h) = self.instances.get(&id) {
+                        if let Some(h) = self.instances.get(id) {
                             if h.node != *node {
                                 rerouted.push((id, l.remaining_s, l.work_s, l.started));
                             }
@@ -1798,7 +1916,7 @@ impl World {
                 let mut displaced = Vec::new();
                 for inst in lost {
                     // detlint::allow(D005, "`lost` was enumerated from this map in this match arm; no removal happens in between")
-                    let mut h = self.instances.remove(&inst).expect("listed");
+                    let mut h = self.instances.remove(inst).expect("listed");
                     // A cold start streaming *into* this node over a
                     // surviving peer's channel leaves that channel, so the
                     // survivors there speed back up.
@@ -1849,7 +1967,7 @@ impl World {
         let mut displaced = Vec::new();
         for inst in self.instances_on_node(node) {
             // detlint::allow(D005, "instances_on_node reads the same map; nothing is removed between the index read and this fetch")
-            let h = self.instances.get_mut(&inst).expect("listed");
+            let h = self.instances.get_mut(inst).expect("listed");
             if h.inst.busy || h.inst.scaling {
                 continue; // swept up when the iteration/rescale completes
             }
@@ -1867,12 +1985,11 @@ impl World {
     // ------------------------------------------------------------------
 
     pub(crate) fn release_slot(&mut self, inst: InstanceId) {
-        if let Some(h) = self.instances.get(&inst) {
-            let node = h.node;
-            let group = h.slots.clone();
-            for &s in &group {
-                self.nodes[node.0 as usize].slot_busy[s] = false;
-                self.wake.push((node, s));
+        if let Some(h) = self.instances.get(inst) {
+            let busy = &mut self.nodes[h.node.0 as usize].slot_busy;
+            for &s in &h.slots {
+                busy[s] = false;
+                self.wake.push((h.node, s));
             }
         }
     }
@@ -1884,7 +2001,7 @@ impl World {
         to_bytes: u64,
         elapsed: SimDuration,
     ) {
-        let h = match self.instances.get_mut(&inst) {
+        let h = match self.instances.get_mut(inst) {
             Some(h) => h,
             None => return,
         };
@@ -1899,24 +2016,22 @@ impl World {
         };
         let ok = h.inst.apply_kv_resize(final_to, elapsed);
         debug_assert!(ok, "resize below live set slipped through");
-        let node = h.node;
-        let group = h.slots.clone();
         if final_to < from_bytes {
             let delta = from_bytes - final_to;
-            let n = &mut self.nodes[node.0 as usize];
+            let n = &mut self.nodes[h.node.0 as usize];
             n.committed = n.committed.saturating_sub(delta);
         }
         self.metrics.scale_ops += 1;
         self.metrics.scale_blocked_s += elapsed.as_secs_f64();
-        for s in group {
-            self.wake.push((node, s));
+        for &s in &h.slots {
+            self.wake.push((h.node, s));
         }
     }
 
     pub(crate) fn apply_load_done(&mut self, inst: InstanceId, elapsed: SimDuration) {
         let now = self.clock;
         let mut graced: Vec<(RequestId, SimDuration)> = Vec::new();
-        if let Some(h) = self.instances.get(&inst) {
+        if let Some(h) = self.instances.get(inst) {
             let (model, node, fabric, tier) = (h.inst.model, h.node, h.fabric, h.load_tier);
             if fabric {
                 self.metrics.peer_fetch_seconds += elapsed.as_secs_f64();
@@ -1930,7 +2045,7 @@ impl World {
                 self.metrics.activations.push((model, now.as_secs_f64()));
             }
         }
-        if let Some(h) = self.instances.get_mut(&inst) {
+        if let Some(h) = self.instances.get_mut(inst) {
             h.inst.activate(now);
             for r in h.inst.requests_mut() {
                 if r.grace.is_zero() {
@@ -1938,10 +2053,8 @@ impl World {
                     graced.push((r.req.id, elapsed));
                 }
             }
-            let node = h.node;
-            let group = h.slots.clone();
-            for s in group {
-                self.wake.push((node, s));
+            for &s in &h.slots {
+                self.wake.push((h.node, s));
             }
         }
         for (id, grace) in graced {
@@ -1983,7 +2096,7 @@ impl World {
     }
 
     pub(crate) fn count_decode_tokens(&mut self, inst: InstanceId, tokens: u64) {
-        if let Some(h) = self.instances.get(&inst) {
+        if let Some(h) = self.instances.get(inst) {
             match self.nodes[h.node.0 as usize].hw.kind {
                 HardwareKind::Gpu => self.metrics.gpu_decode_tokens += tokens,
                 _ => self.metrics.cpu_decode_tokens += tokens,
@@ -2007,8 +2120,100 @@ impl World {
 mod tests {
     use super::*;
     use crate::node::ClusterSpec;
+    use proptest::prelude::*;
 
     const GB: u64 = 1_000_000_000;
+
+    /// Asserts the arena and its `BTreeMap` reference hold the same live
+    /// set, visited in the same ascending order.
+    fn assert_arena_matches(arena: &InstanceArena<u32>, map: &BTreeMap<InstanceId, u32>) {
+        assert_eq!(
+            arena.keys().collect::<Vec<_>>(),
+            map.keys().copied().collect::<Vec<_>>()
+        );
+        assert_eq!(
+            arena.values().copied().collect::<Vec<_>>(),
+            map.values().copied().collect::<Vec<_>>()
+        );
+        assert_eq!(
+            arena.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>(),
+            map.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>()
+        );
+    }
+
+    proptest! {
+        /// Shadow equivalence: the instance arena and the `BTreeMap` it
+        /// replaced agree on every lookup and every ascending walk, for
+        /// any interleaving of inserts (fresh ascending ids, with gaps, as
+        /// `World` issues them), removes of live, dead and never-issued
+        /// ids, lookups and in-place updates.
+        #[test]
+        fn instance_arena_matches_btreemap_shadow(
+            ops in prop::collection::vec(
+                // Repeated arms stand in for weights (the harness picks
+                // arms uniformly). Ids of the other ops are drawn below
+                // the fresh-id counter's reach so they hit live, removed
+                // and not-yet-issued ids alike.
+                prop_oneof![
+                    (1u64..4, 0u32..1000).prop_map(|(gap, v)| (0u8, gap, v)),
+                    (1u64..4, 0u32..1000).prop_map(|(gap, v)| (0u8, gap, v)),
+                    (0u64..200).prop_map(|id| (1u8, id, 0)),
+                    (0u64..200).prop_map(|id| (1u8, id, 0)),
+                    (0u64..200).prop_map(|id| (2u8, id, 0)),
+                    (0u64..200, 0u32..1000).prop_map(|(id, v)| (3u8, id, v)),
+                ],
+                1..300,
+            ),
+        ) {
+            let mut arena: InstanceArena<u32> = InstanceArena::new();
+            let mut map: BTreeMap<InstanceId, u32> = BTreeMap::new();
+            let mut next = 0u64;
+            for (op, arg, v) in ops {
+                if op == 0 {
+                    next += arg;
+                    arena.insert(InstanceId(next), v);
+                    map.insert(InstanceId(next), v);
+                    assert_arena_matches(&arena, &map);
+                    continue;
+                }
+                let id = InstanceId(arg);
+                match op {
+                    1 => prop_assert_eq!(arena.remove(id), map.remove(&id)),
+                    2 => prop_assert_eq!(arena.get(id), map.get(&id)),
+                    _ => {
+                        if let Some(x) = arena.get_mut(id) {
+                            *x = v;
+                        }
+                        if let Some(x) = map.get_mut(&id) {
+                            *x = v;
+                        }
+                    }
+                }
+                assert_arena_matches(&arena, &map);
+            }
+        }
+    }
+
+    #[test]
+    fn removed_id_stays_absent_after_its_slot_is_reused() {
+        let mut arena: InstanceArena<u32> = InstanceArena::new();
+        arena.insert(InstanceId(1), 10);
+        arena.insert(InstanceId(2), 20);
+        assert_eq!(arena.remove(InstanceId(1)), Some(10));
+        // The next insert recycles slab slot 0, which id 1 used to own.
+        arena.insert(InstanceId(3), 30);
+        assert_eq!(arena.slab.len(), 2, "the vacated slot was reused");
+        assert_eq!(arena.get(InstanceId(1)), None);
+        assert_eq!(arena.remove(InstanceId(1)), None);
+        assert_eq!(arena.get(InstanceId(3)), Some(&30));
+        assert_eq!(
+            arena.keys().collect::<Vec<_>>(),
+            vec![InstanceId(2), InstanceId(3)]
+        );
+        assert_eq!(arena.values().copied().collect::<Vec<_>>(), vec![20, 30]);
+        // Ids never issued, past the end of the id table, are absent too.
+        assert_eq!(arena.get(InstanceId(1_000)), None);
+    }
 
     fn tiered_world(nodes: ClusterSpec, models: Vec<ModelSpec>) -> World {
         let cfg = WorldConfig {

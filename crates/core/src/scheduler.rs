@@ -810,8 +810,10 @@ impl Slinfer {
     /// are skipped — their requests have a pending cold-start grace.
     fn shed_expired(&mut self, w: &mut World, node: NodeId, slot: usize) {
         let now = w.now();
+        // `Vec::new` does not allocate: only a slot with expired requests
+        // pays for the list.
         let mut expired: Vec<(InstanceId, RequestId)> = Vec::new();
-        for inst in w.instances_on_slot(node, slot) {
+        for &inst in w.slot_instances(node, slot) {
             let Some(i) = w.instance(inst) else { continue };
             if i.state != InstanceState::Active {
                 continue;
@@ -859,7 +861,7 @@ impl Policy for Slinfer {
                 return;
             }
             let mut best: Option<(f64, InstanceId, IterationKind)> = None;
-            for inst in w.instances_on_slot(node, slot) {
+            for &inst in w.slot_instances(node, slot) {
                 let Some(i) = w.instance(inst) else { continue };
                 if !i.has_work() {
                     continue;
@@ -888,8 +890,8 @@ impl Policy for Slinfer {
                 Ok(dur) => {
                     // The whole slot group is occupied until the iteration
                     // completes; shadow starts must see every slot busy.
-                    let group: Vec<usize> = w.instance_slots(inst).expect("just started").to_vec();
-                    for s in group {
+                    let group = w.instance_slots(inst).expect("just started");
+                    for &s in group {
                         self.busy_until.insert((node.0, s), now + dur);
                     }
                     return;

@@ -361,7 +361,9 @@ impl Instance {
         self.busy = false;
         self.busy_secs += elapsed.as_secs_f64();
         self.peak_batch = self.peak_batch.max(self.batch_size());
-        let finished = self.collect_finished().pop();
+        let mut finished = Vec::new();
+        self.collect_finished(&mut finished);
+        let finished = finished.pop();
         self.retire_finished(now);
         (tokens_out, finished)
     }
@@ -382,12 +384,33 @@ impl Instance {
 
     /// Completes the in-flight decode iteration: every decoding sequence
     /// gains one token (if a KV block is available), finished sequences
-    /// retire.
+    /// retire. Allocates a fresh outcome; the event loop reuses one buffer
+    /// through [`Instance::finish_decode_into`].
     pub fn finish_decode(&mut self, now: SimTime, elapsed: SimDuration) -> DecodeOutcome {
+        let mut outcome = DecodeOutcome::default();
+        self.finish_decode_into(now, elapsed, &mut outcome);
+        outcome
+    }
+
+    /// [`Instance::finish_decode`] into a caller-owned buffer: `outcome` is
+    /// cleared first, then filled exactly as `finish_decode` would return
+    /// it. Reusing one buffer keeps the per-iteration path free of heap
+    /// allocation once its vectors have grown to the largest batch seen.
+    ///
+    /// # Panics
+    /// Panics if no decode is in flight.
+    pub fn finish_decode_into(
+        &mut self,
+        now: SimTime,
+        elapsed: SimDuration,
+        outcome: &mut DecodeOutcome,
+    ) {
         assert!(self.busy, "no decode in flight");
+        outcome.produced.clear();
+        outcome.alloc_failures.clear();
+        outcome.finished.clear();
         self.busy = false;
         self.busy_secs += elapsed.as_secs_f64();
-        let mut outcome = DecodeOutcome::default();
         for ix in 0..self.requests.len() {
             if !matches!(self.requests[ix].phase, ReqPhase::Decoding) {
                 continue;
@@ -415,13 +438,12 @@ impl Instance {
             }
             outcome.produced.push((r.req.id, r.tokens_out, done));
         }
-        outcome.finished = self.collect_finished();
+        self.collect_finished(&mut outcome.finished);
         self.retire_finished(now);
-        outcome
     }
 
-    fn collect_finished(&mut self) -> Vec<RunningRequest> {
-        let mut out = Vec::new();
+    /// Moves finished requests out of the live set, appending them to `out`.
+    fn collect_finished(&mut self, out: &mut Vec<RunningRequest>) {
         let mut i = 0;
         while i < self.requests.len() {
             if matches!(self.requests[i].phase, ReqPhase::Finished) {
@@ -447,7 +469,6 @@ impl Instance {
                 i += 1;
             }
         }
-        out
     }
 
     /// Allocates `blocks`, evicting parked session KV coldest-first when the

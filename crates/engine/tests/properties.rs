@@ -4,11 +4,11 @@
 use proptest::prelude::*;
 
 use engine::blocks::{BlockPool, BLOCK_TOKENS};
-use engine::instance::{Instance, InstanceId};
+use engine::instance::{DecodeOutcome, Instance, InstanceId};
 use engine::request::RunningRequest;
 use hwmodel::ModelSpec;
 use simcore::time::{SimDuration, SimTime};
-use workload::request::{ModelId, Request, RequestId, SloClass};
+use workload::request::{ModelId, Request, RequestId, SessionTag, SloClass};
 
 #[derive(Debug, Clone)]
 enum PoolOp {
@@ -154,6 +154,77 @@ proptest! {
         prop_assert_eq!(moved.req.id, victim);
         prop_assert_eq!(moved.kv_blocks, 0);
         prop_assert_eq!(moved.migrations, 1);
+    }
+
+    /// `finish_decode_into` on a dirty, reused buffer is `finish_decode`:
+    /// the same produced tokens, allocation failures and finished requests,
+    /// and the same instance state afterwards, iteration after iteration.
+    /// Tight grants make some iterations fail to allocate; session tags
+    /// with retention on exercise the park-on-finish path.
+    #[test]
+    fn finish_decode_into_matches_finish_decode(
+        reqs in prop::collection::vec((16u32..600, 1u32..24), 1..10),
+        grant_blocks in 4u64..96,
+        retain in any::<bool>(),
+    ) {
+        let spec = ModelSpec::llama2_7b();
+        let block_bytes = spec.kv_bytes_per_token() * u64::from(BLOCK_TOKENS);
+        let mut inst = Instance::new(
+            InstanceId(1),
+            ModelId(0),
+            spec,
+            grant_blocks * block_bytes,
+            SimTime::ZERO,
+        );
+        inst.retain_sessions = retain;
+        inst.activate(SimTime::ZERO);
+        for (i, &(input, output)) in reqs.iter().enumerate() {
+            inst.admit(RunningRequest::new(Request {
+                id: RequestId(i as u64),
+                model: ModelId(0),
+                arrival: SimTime::ZERO,
+                input_len: input,
+                output_len: output,
+                class: SloClass::default(),
+                session: if i % 2 == 0 { SessionTag::new(i as u64 + 1, 0) } else { Default::default() },
+            }));
+        }
+        let ids: Vec<RequestId> = inst.requests().iter().map(|r| r.req.id).collect();
+        for id in ids {
+            if inst.begin_prefill(id).is_some() {
+                inst.finish_prefill(id, SimTime::from_secs(1), SimDuration::from_millis(10));
+            }
+        }
+        let junk = RunningRequest::new(Request {
+            id: RequestId(999),
+            model: ModelId(0),
+            arrival: SimTime::ZERO,
+            input_len: 1,
+            output_len: 1,
+            class: SloClass::default(),
+            session: Default::default(),
+        });
+        let mut buf = DecodeOutcome {
+            produced: vec![(RequestId(998), 3, true)],
+            alloc_failures: vec![RequestId(997)],
+            finished: vec![junk],
+        };
+        let mut step = 0u64;
+        while inst.batch_size() > 0 && step < 64 {
+            step += 1;
+            let now = SimTime::from_secs(1 + step);
+            inst.begin_decode();
+            let mut fresh = inst.clone();
+            let want = fresh.finish_decode(now, SimDuration::from_millis(10));
+            inst.finish_decode_into(now, SimDuration::from_millis(10), &mut buf);
+            prop_assert_eq!(&buf.produced, &want.produced);
+            prop_assert_eq!(&buf.alloc_failures, &want.alloc_failures);
+            prop_assert_eq!(&buf.finished, &want.finished);
+            prop_assert_eq!(format!("{inst:?}"), format!("{fresh:?}"));
+            if buf.produced.is_empty() {
+                break; // every sequence is stuck on KV; nothing will move
+            }
+        }
     }
 
     /// Eq. 2 is monotone in load and respects the L_min floor.
