@@ -1,11 +1,12 @@
-//! Shared slot-group claiming and startup-time scoring for the
-//! exclusive-allocation baselines.
+//! Shared idle-slot listing, slot-group claiming and startup-time scoring
+//! for the exclusive-allocation baselines.
 //!
-//! Both `sllm` and the PD variant launch tensor-parallel instances the
-//! same way: scan the idle-slot list for `tp` idle slots of one node,
-//! grant the group its slots' exclusive memory share, create the
-//! instance. One implementation, so the grant formula and the run scan
-//! cannot drift between the two policies.
+//! Both `sllm` and the PD variant list idle slots the same way and launch
+//! tensor-parallel instances the same way: scan the idle-slot list for
+//! `tp` idle slots of one node, grant the group its slots' exclusive
+//! memory share, create the instance. One implementation, so the slot
+//! scan, the grant formula and the run scan cannot drift between the two
+//! policies.
 //!
 //! Candidate nodes are ordered ServerlessLLM-style: by estimated startup
 //! time from each node's warmest checkpoint tier (HBM co-residency, DRAM
@@ -17,6 +18,30 @@
 use cluster::{NodeId, World};
 use engine::instance::InstanceId;
 use workload::request::ModelId;
+
+/// Every idle slot of a schedulable node that `usable` accepts, as
+/// `(rank, node, slot)` triples sorted CPUs first (rank 0), then by node
+/// and slot: the list [`score_free_slots`] and [`claim_slot_group`] take.
+pub fn free_slots(w: &World, usable: impl Fn(&World, NodeId) -> bool) -> Vec<(u8, NodeId, usize)> {
+    let mut slots = Vec::new();
+    for node in w.node_ids() {
+        if !w.node_schedulable(node) || !usable(w, node) {
+            continue;
+        }
+        let rank = if w.node_hw(node).kind.is_cpu() {
+            0u8
+        } else {
+            1
+        };
+        for slot in 0..w.slot_count(node) {
+            if w.slot_instances(node, slot).is_empty() {
+                slots.push((rank, node, slot));
+            }
+        }
+    }
+    slots.sort();
+    slots
+}
 
 /// Annotates a `(rank, node, slot)`-sorted idle-slot list with each
 /// node's startup-time score ([`World::startup_score_ns`]), computing the

@@ -9,9 +9,9 @@
 //!   - `sllm+c`: additionally serves on AMX CPU nodes, preferring them.
 //!   - `sllm+c+s`: additionally time-shares every node between two
 //!     half-resource slots with the paper's reduced concurrency limits.
-//! - [`groups`] — shared tensor-parallel slot-group claiming for the
-//!   exclusive-allocation baselines (one scan/grant implementation for
-//!   `sllm` and PD).
+//! - [`groups`] — the idle-slot scan and tensor-parallel slot-group
+//!   claiming shared by the exclusive-allocation baselines (one
+//!   scan/grant implementation for `sllm` and PD).
 //! - [`limits`] — the §IX-A concurrency-limit tables: (59, 15, 6) CPU /
 //!   (160, 32, 16) GPU for full nodes and (23, 4, 6) / (71, 12, 4) for
 //!   half nodes, with a profile-derived fallback for other model sizes.

@@ -11,27 +11,23 @@
 //! finds this *hurts* in serverless settings: prefill instances idle 93% of
 //! their lifetime, doubling cold starts and node usage (Table III).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-use cluster::{NodeId, Policy, World};
-use engine::instance::{InstanceId, IterationKind};
+use cluster::{AdmissionQueue, Handoff, NodeId, Policy, World};
+use engine::instance::{Instance, InstanceId, IterationKind};
 use engine::request::{ReqPhase, RunningRequest};
-use simcore::time::SimDuration;
 use workload::request::{ModelId, RequestId};
 
 use crate::limits::concurrency_limit;
 
-const TAG_HANDOFF: u64 = 1 << 63;
-
 /// Disaggregated `sllm+c+s`. See module docs.
 ///
-/// Ordered containers only (`Vec`/`BTreeSet`/`BTreeMap`): hash-randomized
-/// iteration order must never reach placement decisions.
+/// Ordered containers only (here and inside `AdmissionQueue`/`Handoff`):
+/// hash-randomized iteration order must never reach placement decisions.
 pub struct PdSllm {
-    queue: Vec<RunningRequest>,
-    timers: BTreeSet<RequestId>,
+    queue: AdmissionQueue,
     prefill_insts: BTreeSet<InstanceId>,
-    pending: BTreeMap<u64, RunningRequest>,
+    handoff: Handoff,
     /// Concurrent prefills a prefill instance accepts before scale-out.
     prefill_depth: u32,
 }
@@ -40,39 +36,18 @@ impl PdSllm {
     /// Creates the policy.
     pub fn new() -> Self {
         PdSllm {
-            queue: Vec::new(),
-            timers: BTreeSet::new(),
+            queue: AdmissionQueue::default(),
             prefill_insts: BTreeSet::new(),
-            pending: BTreeMap::new(),
+            handoff: Handoff::default(),
             prefill_depth: 2,
         }
-    }
-
-    fn free_slots(&self, w: &World, model: ModelId) -> Vec<(u8, NodeId, usize)> {
-        let mut slots = Vec::new();
-        for node in w.node_ids() {
-            if !w.node_schedulable(node) {
-                continue;
-            }
-            let hw = w.node_hw(node);
-            if !hw.can_serve(w.model_spec(model)) {
-                continue;
-            }
-            let rank = if hw.kind.is_cpu() { 0u8 } else { 1 };
-            for slot in 0..w.slot_count(node) {
-                if w.instances_on_slot(node, slot).is_empty() {
-                    slots.push((rank, node, slot));
-                }
-            }
-        }
-        slots.sort();
-        slots
     }
 
     fn create_on_free_slot(&mut self, w: &mut World, model: ModelId) -> Option<InstanceId> {
         let spec = w.model_spec(model).clone();
         let tp = spec.tp_degree.max(1) as usize;
-        let free = self.free_slots(w, model);
+        let free =
+            crate::groups::free_slots(w, |w, node| w.node_hw(node).can_serve(w.model_spec(model)));
         if tp > 1 {
             // `free_slots` already filtered schedulability and servability.
             return crate::groups::claim_slot_group(w, model, &free, tp, |_, _| true)
@@ -93,7 +68,7 @@ impl PdSllm {
                 continue;
             }
             if w.create_instance(model, node, slot, grant).is_ok() {
-                return w.instances_on_slot(node, slot).last().copied();
+                return w.slot_instances(node, slot).last().copied();
             }
         }
         None
@@ -101,7 +76,7 @@ impl PdSllm {
 
     fn try_place_prefill(&mut self, w: &mut World, rr: &RunningRequest) -> bool {
         let model = rr.req.model;
-        for inst in w.instances_of_model(model) {
+        for &inst in w.model_instances(model) {
             if !self.prefill_insts.contains(&inst) {
                 continue;
             }
@@ -125,7 +100,9 @@ impl PdSllm {
         rr: RunningRequest,
     ) -> Result<(), RunningRequest> {
         let model = rr.req.model;
-        for inst in w.instances_of_model(model) {
+        // Copied: a failed `admit_decoding` continues the walk after
+        // mutating the world.
+        for inst in w.model_instances(model).to_vec() {
             if self.prefill_insts.contains(&inst) {
                 continue;
             }
@@ -156,24 +133,12 @@ impl PdSllm {
         Err(rr)
     }
 
-    fn enqueue(&mut self, w: &mut World, rr: RunningRequest) {
-        let deadline = rr.next_deadline(&w.slo_for(&rr.req));
-        if w.now() >= deadline {
-            w.drop_request(&rr);
-            return;
-        }
-        if self.timers.insert(rr.req.id) {
-            w.set_timer(deadline - w.now(), rr.req.id.0);
-        }
-        self.queue.push(rr);
-    }
-
     fn retry_queue(&mut self, w: &mut World) {
-        for rr in std::mem::take(&mut self.queue) {
-            if w.now() >= rr.next_deadline(&w.slo_for(&rr.req)) {
+        for rr in self.queue.take() {
+            if AdmissionQueue::expired(w, &rr) {
                 w.drop_request(&rr);
             } else if !self.try_place_prefill(w, &rr) {
-                self.queue.push(rr);
+                self.queue.requeue(rr);
             }
         }
     }
@@ -192,7 +157,7 @@ impl Policy for PdSllm {
 
     fn on_arrival(&mut self, w: &mut World, rr: RunningRequest) {
         if !self.try_place_prefill(w, &rr) {
-            self.enqueue(w, rr);
+            self.queue.push(w, rr);
         }
     }
 
@@ -229,18 +194,9 @@ impl Policy for PdSllm {
     }
 
     fn on_prefill_done(&mut self, w: &mut World, inst: InstanceId, req: RequestId) {
-        if !self.prefill_insts.contains(&inst) {
-            return;
+        if self.prefill_insts.contains(&inst) {
+            self.handoff.start(w, inst, req);
         }
-        let now = w.now();
-        let rr = w
-            .instance_mut(inst)
-            .expect("prefill instance exists")
-            .remove_for_handoff(req, now);
-        let delay = w.kv_transfer_delay(rr.req.model, rr.context_tokens());
-        w.schedule_keepalive(inst);
-        self.pending.insert(req.0, rr);
-        w.set_timer(delay, TAG_HANDOFF | req.0);
     }
 
     fn on_load_done(&mut self, w: &mut World, _inst: InstanceId) {
@@ -252,11 +208,7 @@ impl Policy for PdSllm {
     }
 
     fn on_keepalive(&mut self, w: &mut World, inst: InstanceId) {
-        let idle = w
-            .instance(inst)
-            .map(|i| !i.has_live_requests() && !i.busy && !i.scaling)
-            .unwrap_or(false);
-        if idle {
+        if w.instance(inst).is_some_and(Instance::is_idle) {
             self.prefill_insts.remove(&inst);
             w.unload_instance(inst);
             self.retry_queue(w);
@@ -264,38 +216,15 @@ impl Policy for PdSllm {
     }
 
     fn on_timer(&mut self, w: &mut World, payload: u64) {
-        if payload & TAG_HANDOFF != 0 {
-            let key = payload & !TAG_HANDOFF;
-            let Some(rr) = self.pending.remove(&key) else {
-                return;
-            };
-            match self.try_place_decode(w, rr) {
-                Ok(()) => {}
-                Err(rr) => {
-                    // No decode capacity yet: back off briefly, give up when
-                    // hopeless (well past the running deadline).
-                    let hopeless = w.now()
-                        > rr.next_deadline(&w.slo_for(&rr.req)) + SimDuration::from_secs(10);
-                    if hopeless {
-                        w.drop_request(&rr);
-                    } else {
-                        self.pending.insert(key, rr);
-                        w.set_timer(SimDuration::from_millis(100), TAG_HANDOFF | key);
-                    }
+        if Handoff::owns(payload) {
+            if let Some(rr) = self.handoff.landed(payload) {
+                if let Err(rr) = self.try_place_decode(w, rr) {
+                    self.handoff.retry_or_drop(w, rr);
                 }
             }
             return;
         }
-        let id = RequestId(payload);
-        self.timers.remove(&id);
-        let now = w.now();
-        for rr in std::mem::take(&mut self.queue) {
-            if rr.req.id == id && now >= rr.next_deadline(&w.slo_for(&rr.req)) {
-                w.drop_request(&rr);
-            } else {
-                self.queue.push(rr);
-            }
-        }
+        self.queue.on_timer(w, RequestId(payload));
     }
 }
 
@@ -304,7 +233,7 @@ mod tests {
     use super::*;
     use cluster::{ClusterSpec, Simulation, WorldConfig};
     use hwmodel::{ModelSpec, NoiseModel};
-    use simcore::time::SimTime;
+    use simcore::time::{SimDuration, SimTime};
     use workload::request::{Request, SloClass, Trace};
 
     fn quiet() -> WorldConfig {

@@ -17,8 +17,8 @@
 
 use std::collections::BTreeSet;
 
-use cluster::{NodeId, Policy, World};
-use engine::instance::{InstanceId, IterationKind};
+use cluster::{eviction_victim, AdmissionQueue, NodeId, Policy, World};
+use engine::instance::{Instance, InstanceId, IterationKind};
 use engine::request::{ReqPhase, RunningRequest};
 use hwmodel::HardwareKind;
 use workload::request::{ModelId, RequestId};
@@ -69,8 +69,7 @@ impl SllmConfig {
 /// placement decisions across processes.
 pub struct Sllm {
     cfg: SllmConfig,
-    queue: Vec<RunningRequest>,
-    timers: BTreeSet<RequestId>,
+    queue: AdmissionQueue,
 }
 
 impl Sllm {
@@ -78,8 +77,7 @@ impl Sllm {
     pub fn new(cfg: SllmConfig) -> Self {
         Sllm {
             cfg,
-            queue: Vec::new(),
-            timers: BTreeSet::new(),
+            queue: AdmissionQueue::default(),
         }
     }
 
@@ -105,36 +103,14 @@ impl Sllm {
         concurrency_limit(w.model_spec(model), hw, share, &w.slo())
     }
 
-    /// All currently idle slots, CPUs first (model-independent; per-model
-    /// usability is re-checked at placement time).
-    fn free_slots(&self, w: &World) -> Vec<(u8, NodeId, usize)> {
-        let mut slots: Vec<(u8, NodeId, usize)> = Vec::new();
-        for node in w.node_ids() {
-            if !w.node_schedulable(node) {
-                continue;
-            }
-            let rank = if w.node_hw(node).kind.is_cpu() {
-                0u8
-            } else {
-                1
-            };
-            for slot in 0..w.slot_count(node) {
-                if w.slot_instances(node, slot).is_empty() {
-                    slots.push((rank, node, slot));
-                }
-            }
-        }
-        slots.sort();
-        slots
-    }
-
     fn try_place(&mut self, w: &mut World, rr: &RunningRequest) -> bool {
         if self.try_admit_existing(w, rr) {
             return true;
         }
         // Scan for idle slots only once admission has failed — on the hot
-        // arrival path most requests land on an existing instance.
-        let mut free = self.free_slots(w);
+        // arrival path most requests land on an existing instance. The list
+        // is model-independent: per-model usability is checked at placement.
+        let mut free = crate::groups::free_slots(w, |_, _| true);
         self.try_create_on(w, rr, &mut free)
     }
 
@@ -265,18 +241,6 @@ impl Sllm {
         }
     }
 
-    fn enqueue(&mut self, w: &mut World, rr: RunningRequest) {
-        let deadline = rr.next_deadline(&w.slo_for(&rr.req));
-        if w.now() >= deadline {
-            w.drop_request(&rr);
-            return;
-        }
-        if self.timers.insert(rr.req.id) {
-            w.set_timer(deadline - w.now(), rr.req.id.0);
-        }
-        self.queue.push(rr);
-    }
-
     /// One incremental retry pass over the queue.
     ///
     /// Naively, every pass re-scans the full cluster per queued request —
@@ -299,20 +263,18 @@ impl Sllm {
         // only drops) never scans the cluster at all.
         let mut free: Option<Vec<(u8, NodeId, usize)>> = None;
         let mut full_models: BTreeSet<ModelId> = BTreeSet::new();
-        for rr in std::mem::take(&mut self.queue) {
-            if w.now() >= rr.next_deadline(&w.slo_for(&rr.req)) {
+        for rr in self.queue.take() {
+            if AdmissionQueue::expired(w, &rr) {
                 w.drop_request(&rr);
             } else if full_models.contains(&rr.req.model) {
-                self.queue.push(rr);
+                self.queue.requeue(rr);
             } else if self.try_admit_existing(w, &rr) {
                 // Placed on an existing instance; slots untouched.
             } else {
-                if free.is_none() {
-                    free = Some(self.free_slots(w));
-                }
-                if !self.try_create_on(w, &rr, free.as_mut().expect("just filled")) {
+                let free = free.get_or_insert_with(|| crate::groups::free_slots(w, |_, _| true));
+                if !self.try_create_on(w, &rr, free) {
                     full_models.insert(rr.req.model);
-                    self.queue.push(rr);
+                    self.queue.requeue(rr);
                 }
             }
         }
@@ -326,7 +288,7 @@ impl Policy for Sllm {
 
     fn on_arrival(&mut self, w: &mut World, rr: RunningRequest) {
         if !self.try_place(w, &rr) {
-            self.enqueue(w, rr);
+            self.queue.push(w, rr);
         }
     }
 
@@ -384,52 +346,28 @@ impl Policy for Sllm {
         // Static grants can overflow on pathological output lengths: evict
         // the longest-headroom request back to the queue (vLLM's
         // preempt-and-recompute).
-        let now = w.now();
-        let victim = w.instance(inst).and_then(|i| {
-            i.requests()
-                .iter()
-                .filter(|r| !matches!(r.phase, ReqPhase::Prefilling))
-                .max_by(|a, b| {
-                    a.headroom(now, &w.slo_for(&a.req))
-                        .total_cmp(&b.headroom(now, &w.slo_for(&b.req)))
-                })
-                .map(|r| r.req.id)
-        });
-        if let Some(id) = victim {
+        if let Some(id) = eviction_victim(w, inst) {
+            let now = w.now();
             let moved = w
                 .instance_mut(inst)
                 .expect("instance exists")
                 .remove_for_migration(id, now);
             w.note_migration(&[id]);
             if !self.try_place(w, &moved) {
-                self.enqueue(w, moved);
+                self.queue.push(w, moved);
             }
         }
     }
 
     fn on_keepalive(&mut self, w: &mut World, inst: InstanceId) {
-        let idle = w
-            .instance(inst)
-            .map(|i| !i.has_live_requests() && !i.busy && !i.scaling)
-            .unwrap_or(false);
-        if idle {
+        if w.instance(inst).is_some_and(Instance::is_idle) {
             w.unload_instance(inst);
             self.retry_queue(w);
         }
     }
 
     fn on_timer(&mut self, w: &mut World, payload: u64) {
-        let id = RequestId(payload);
-        self.timers.remove(&id);
-        let now = w.now();
-        // Drop in place (keeping FIFO order) instead of rebuilding the
-        // whole queue for every expired timer.
-        if let Some(pos) = self.queue.iter().position(|rr| rr.req.id == id) {
-            if now >= self.queue[pos].next_deadline(&w.slo_for(&self.queue[pos].req)) {
-                let rr = self.queue.remove(pos);
-                w.drop_request(&rr);
-            }
-        }
+        self.queue.on_timer(w, RequestId(payload));
     }
 }
 

@@ -76,13 +76,14 @@ pub struct DistConfig {
     /// Make eviction cache-aware: DRAM demotion victims are scored by
     /// (re-load tier if evicted, fleet replica count) instead of bare
     /// LRU, and keep-alive defers unloading the last warm copy of a
-    /// checkpoint in the fleet.
+    /// checkpoint in the fleet (at most [`KEEPALIVE_DEFER_MAX`] times).
     pub cache_aware: bool,
-    /// How many keep-alive periods the last warm copy of a model may
-    /// defer its unload (bounds the cache-aware keep-alive so an idle
-    /// fleet still converges to empty). Only read when `cache_aware`.
-    pub keepalive_defer_max: u32,
 }
+
+/// How many keep-alive periods the cache-aware keep-alive lets the last
+/// warm copy of a model defer its unload, so an idle fleet still
+/// converges to empty.
+pub const KEEPALIVE_DEFER_MAX: u32 = 3;
 
 impl DistConfig {
     /// Distribution fully off — the default. Replays pre-distribution
@@ -93,7 +94,6 @@ impl DistConfig {
             peer_fetch: false,
             multicast: false,
             cache_aware: false,
-            keepalive_defer_max: 0,
         }
     }
 
@@ -112,7 +112,6 @@ impl DistConfig {
             peer_fetch: true,
             multicast: true,
             cache_aware: true,
-            keepalive_defer_max: 3,
         }
     }
 

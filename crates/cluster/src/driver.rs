@@ -295,7 +295,7 @@ mod tests {
         fn on_slot_free(&mut self, w: &mut World, node: NodeId, slot: usize) {
             let slo = w.slo();
             let now = w.now();
-            for inst in w.instances_on_slot(node, slot) {
+            for &inst in w.slot_instances(node, slot) {
                 let Some(i) = w.instance(inst) else { continue };
                 if !i.has_work() {
                     continue;

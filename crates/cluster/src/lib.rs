@@ -20,6 +20,9 @@
 //! - [`policy`] — the [`Policy`] trait: the callback surface (arrivals,
 //!   slot-free, load/scale completions, keep-alive, timers) that SLINFER and
 //!   all baselines implement.
+//! - [`admission`] — the request-lifecycle mechanics every policy shares:
+//!   the [`AdmissionQueue`] with its TTFT drop timers, the PD [`Handoff`],
+//!   and the longest-headroom [`eviction_victim`].
 //! - [`driver`] — [`Simulation`]: the deterministic event loop, including
 //!   cluster-lifecycle events (node drain/fail/join) and their policy hook.
 //! - [`scenario`] — [`Scenario`]: composable run construction over four
@@ -35,6 +38,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod admission;
 pub mod checkpoint;
 pub mod dist;
 pub mod driver;
@@ -45,6 +49,7 @@ pub mod scenario;
 pub mod sessions;
 pub mod world;
 
+pub use admission::{eviction_victim, AdmissionQueue, Handoff};
 pub use checkpoint::{CheckpointConfig, CheckpointStore};
 pub use dist::{CheckpointDirectory, DistConfig, TransferPlan, TransferSource};
 pub use driver::Simulation;

@@ -2,11 +2,14 @@
 //!
 //! SLINFER and every baseline implement [`Policy`]. The driver invokes the
 //! callbacks as events fire; policies act exclusively through the
-//! [`World`] API. Policies own their admission queues —
-//! the driver never queues requests itself (systems differ precisely in how
-//! they queue, §III-C).
+//! [`World`] API. Policies own their admission queues — the driver never
+//! queues requests itself. Each policy holds a
+//! [`crate::admission::AdmissionQueue`] and decides where a request goes
+//! and when the queue is retried (systems differ precisely there, §III-C);
+//! how a request waits, expires, hands off between PD pools and is picked
+//! for eviction is shared through [`crate::admission`].
 
-use engine::instance::InstanceId;
+use engine::instance::{Instance, InstanceId};
 use engine::request::RunningRequest;
 use workload::request::RequestId;
 
@@ -48,11 +51,7 @@ pub trait Policy {
     /// An instance has been idle for the keep-alive threshold. The default
     /// reclaims it.
     fn on_keepalive(&mut self, w: &mut World, inst: InstanceId) {
-        let idle = w
-            .instance(inst)
-            .map(|i| !i.has_live_requests() && !i.busy && !i.scaling)
-            .unwrap_or(false);
-        if idle {
+        if w.instance(inst).is_some_and(Instance::is_idle) {
             w.unload_instance(inst);
         }
     }

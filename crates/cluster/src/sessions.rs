@@ -15,7 +15,7 @@
 //!   the stickiness-scaled in-flight cap; the turn then falls back to the
 //!   normal placement path.
 //! - **Migration** — an off-home turn can still skip recompute by shipping
-//!   the parked KV over the node fabric ([`SessionConfig::migrate_kv`]),
+//!   the parked KV over the node fabric (always on with sessions),
 //!   paying `tokens · C / kv_transfer_gbps` of transfer delay instead of
 //!   the prefill tail (`RunMetrics::kv_migration_bytes` accounts it).
 //!
@@ -34,18 +34,16 @@ pub struct SessionConfig {
     pub enabled: bool,
     /// Affinity strength in `[0, 1]`: a follow-up turn sticks to its home
     /// instance only while the home's in-flight request count is below
-    /// `stickiness · affinity_max_inflight` (at least 1 when positive).
+    /// `stickiness ·` [`AFFINITY_MAX_INFLIGHT`] (at least 1 when positive).
     /// `0.0` never sticks — every turn takes the normal placement path;
     /// `1.0` sticks up to the full cap. Deterministic by construction (a
     /// load threshold, not a coin flip).
     pub stickiness: f64,
-    /// In-flight cap scaled by `stickiness` above.
-    pub affinity_max_inflight: u32,
-    /// When a follow-up turn lands off-home anyway, ship the parked KV over
-    /// the fabric (priced at `WorldConfig::kv_transfer_gbps`) instead of
-    /// recomputing the prefix. Off: off-home turns re-prefill from scratch.
-    pub migrate_kv: bool,
 }
+
+/// The in-flight cap a home instance keeps at stickiness 1.0
+/// ([`SessionConfig::stickiness`] scales it).
+pub const AFFINITY_MAX_INFLIGHT: u32 = 16;
 
 impl SessionConfig {
     /// Sessions disabled (the default): byte-identical to pre-session runs.
@@ -53,19 +51,17 @@ impl SessionConfig {
         SessionConfig {
             enabled: false,
             stickiness: 0.0,
-            affinity_max_inflight: 16,
-            migrate_kv: false,
         }
     }
 
-    /// Prefix reuse with the given stickiness and KV migration on — the
-    /// configuration the `session_reuse` experiment sweeps.
+    /// Prefix reuse with the given stickiness — the configuration the
+    /// `session_reuse` experiment sweeps. An off-home turn ships the parked
+    /// KV over the fabric (priced at `WorldConfig::kv_transfer_gbps`)
+    /// instead of recomputing the prefix.
     pub fn reuse(stickiness: f64) -> Self {
         SessionConfig {
             enabled: true,
             stickiness,
-            affinity_max_inflight: 16,
-            migrate_kv: true,
         }
     }
 }
@@ -84,13 +80,12 @@ mod tests {
     fn off_is_default_and_inert() {
         assert_eq!(SessionConfig::default(), SessionConfig::off());
         assert!(!SessionConfig::off().enabled);
-        assert!(!SessionConfig::off().migrate_kv);
     }
 
     #[test]
     fn reuse_enables_migration() {
         let c = SessionConfig::reuse(0.5);
-        assert!(c.enabled && c.migrate_kv);
+        assert!(c.enabled);
         assert_eq!(c.stickiness, 0.5);
     }
 }

@@ -28,10 +28,13 @@ use simcore::time::{SimDuration, SimTime};
 use workload::request::{ModelId, RequestId, Slo};
 
 use crate::checkpoint::{CheckpointConfig, CheckpointStore};
-use crate::dist::{CheckpointDirectory, DistConfig, ReplicaState, TransferPlan, TransferSource};
+use crate::dist::{
+    CheckpointDirectory, DistConfig, ReplicaState, TransferPlan, TransferSource,
+    KEEPALIVE_DEFER_MAX,
+};
 use crate::metrics::RunMetrics;
 use crate::node::{ClusterSpec, NodeId, NodeSpec};
-use crate::sessions::SessionConfig;
+use crate::sessions::{SessionConfig, AFFINITY_MAX_INFLIGHT};
 use workload::request::{Request, SloClass};
 
 /// Tunable run parameters shared by every policy.
@@ -303,7 +306,7 @@ pub struct Hosted {
     pub fabric: bool,
     /// Keep-alive periods this instance has already deferred because it
     /// held the fleet's last warm copy of its checkpoint (cache-aware
-    /// keep-alive; bounded by `DistConfig::keepalive_defer_max`).
+    /// keep-alive; bounded by [`KEEPALIVE_DEFER_MAX`]).
     pub keepalive_defers: u32,
 }
 
@@ -507,11 +510,6 @@ impl<T> InstanceArena<T> {
             self.live.remove(pos);
         }
         self.slab[s].take()
-    }
-
-    /// Live ids, ascending.
-    fn keys(&self) -> impl Iterator<Item = InstanceId> + '_ {
-        self.live.iter().copied()
     }
 
     /// Live values in ascending id order.
@@ -781,42 +779,18 @@ impl World {
         Some(group)
     }
 
-    /// All instance ids (ascending).
-    pub fn instance_ids(&self) -> Vec<InstanceId> {
-        self.instances.keys().collect()
-    }
-
-    /// Instances hosted on `node`.
-    pub fn instances_on_node(&self, node: NodeId) -> Vec<InstanceId> {
-        self.node_instances(node).to_vec()
-    }
-
-    /// Borrowed view of the instances hosted on `node` (ascending ids) —
-    /// the allocation-free form of [`World::instances_on_node`].
+    /// The instances hosted on `node` (ascending ids).
     pub fn node_instances(&self, node: NodeId) -> &[InstanceId] {
         &self.index.by_node[node.0 as usize]
     }
 
-    /// Instances whose slot group includes `slot` (a tensor-parallel
-    /// instance appears on every slot it spans).
-    pub fn instances_on_slot(&self, node: NodeId, slot: usize) -> Vec<InstanceId> {
-        self.slot_instances(node, slot).to_vec()
-    }
-
-    /// Borrowed view of the instances on a slot (ascending ids) — the
-    /// allocation-free form of [`World::instances_on_slot`], for hot paths
-    /// that only inspect the list.
+    /// The instances whose slot group includes `slot` (ascending ids; a
+    /// tensor-parallel instance appears on every slot it spans).
     pub fn slot_instances(&self, node: NodeId, slot: usize) -> &[InstanceId] {
         &self.index.by_slot[node.0 as usize][slot]
     }
 
-    /// All instances of a model, across the cluster.
-    pub fn instances_of_model(&self, model: ModelId) -> Vec<InstanceId> {
-        self.model_instances(model).to_vec()
-    }
-
-    /// Borrowed view of a model's instances (ascending ids) — the
-    /// allocation-free form of [`World::instances_of_model`].
+    /// All instances of a model across the cluster (ascending ids).
     pub fn model_instances(&self, model: ModelId) -> &[InstanceId] {
         &self.index.by_model[model.0 as usize]
     }
@@ -1157,7 +1131,7 @@ impl World {
     /// Cache-aware keep-alive: returns true when unloading this idle
     /// instance should be deferred one more keep-alive period because it
     /// would send the fleet's *last* warm copy of the model back to the
-    /// registry. Bounded by `keepalive_defer_max` deferrals so a cooling
+    /// registry. Bounded by [`KEEPALIVE_DEFER_MAX`] deferrals so a cooling
     /// fleet still drains. No-op (always false) unless `dist.cache_aware`.
     pub(crate) fn keepalive_defer(&mut self, inst: InstanceId) -> bool {
         if !self.cfg.dist.cache_aware {
@@ -1167,7 +1141,7 @@ impl World {
             Some(h) => (h.inst.model, h.node, h.keepalive_defers),
             None => return false,
         };
-        if defers >= self.cfg.dist.keepalive_defer_max {
+        if defers >= KEEPALIVE_DEFER_MAX {
             return false;
         }
         // Another live instance of the model keeps the weights hot
@@ -1572,7 +1546,7 @@ impl World {
         // the cached prefix is discounted here too. Runs entirely before the
         // mutable borrow of the target instance below.
         let mut migrated: Option<(u64, u32)> = None;
-        if self.cfg.sessions.enabled && self.cfg.sessions.migrate_kv {
+        if self.cfg.sessions.enabled {
             if let IterationKind::Prefill(req) = kind {
                 let target = &self.instances[&inst].inst;
                 if let Some(tag) = target.queued_session(req) {
@@ -1713,10 +1687,7 @@ impl World {
     pub fn unload_instance(&mut self, inst: InstanceId) {
         // detlint::allow(D005, "documented # Panics contract: unloads name instances the policy holds")
         let h = self.instances.remove(inst).expect("unknown instance");
-        assert!(
-            !h.inst.has_live_requests() && !h.inst.busy && !h.inst.scaling,
-            "unloading a non-idle instance"
-        );
+        assert!(h.inst.is_idle(), "unloading a non-idle instance");
         self.index.remove(
             inst,
             h.node.0 as usize,
@@ -1831,7 +1802,7 @@ impl World {
         if !self.node_schedulable(h.node) {
             return None;
         }
-        let cap = ((sc.stickiness * sc.affinity_max_inflight as f64).floor() as u32).max(1);
+        let cap = ((sc.stickiness * AFFINITY_MAX_INFLIGHT as f64).floor() as u32).max(1);
         if h.inst.live_count() >= cap {
             return None;
         }
@@ -1911,7 +1882,7 @@ impl World {
                 n.loads.clear();
                 self.dir.clear_node(*node);
                 // Everything hosted is gone; salvage the request states.
-                let lost: Vec<InstanceId> = self.instances_on_node(*node);
+                let lost: Vec<InstanceId> = self.node_instances(*node).to_vec();
                 let now = self.clock;
                 let mut displaced = Vec::new();
                 for inst in lost {
@@ -1965,8 +1936,8 @@ impl World {
         }
         let now = self.clock;
         let mut displaced = Vec::new();
-        for inst in self.instances_on_node(node) {
-            // detlint::allow(D005, "instances_on_node reads the same map; nothing is removed between the index read and this fetch")
+        for inst in self.node_instances(node).to_vec() {
+            // detlint::allow(D005, "the list was copied from the node index before the walk, and only the instance fetched here is unloaded per step")
             let h = self.instances.get_mut(inst).expect("listed");
             if h.inst.busy || h.inst.scaling {
                 continue; // swept up when the iteration/rescale completes
@@ -2127,10 +2098,7 @@ mod tests {
     /// Asserts the arena and its `BTreeMap` reference hold the same live
     /// set, visited in the same ascending order.
     fn assert_arena_matches(arena: &InstanceArena<u32>, map: &BTreeMap<InstanceId, u32>) {
-        assert_eq!(
-            arena.keys().collect::<Vec<_>>(),
-            map.keys().copied().collect::<Vec<_>>()
-        );
+        assert_eq!(arena.live, map.keys().copied().collect::<Vec<_>>());
         assert_eq!(
             arena.values().copied().collect::<Vec<_>>(),
             map.values().copied().collect::<Vec<_>>()
@@ -2206,10 +2174,7 @@ mod tests {
         assert_eq!(arena.get(InstanceId(1)), None);
         assert_eq!(arena.remove(InstanceId(1)), None);
         assert_eq!(arena.get(InstanceId(3)), Some(&30));
-        assert_eq!(
-            arena.keys().collect::<Vec<_>>(),
-            vec![InstanceId(2), InstanceId(3)]
-        );
+        assert_eq!(arena.live, [InstanceId(2), InstanceId(3)]);
         assert_eq!(arena.values().copied().collect::<Vec<_>>(), vec![20, 30]);
         // Ids never issued, past the end of the id table, are absent too.
         assert_eq!(arena.get(InstanceId(1_000)), None);
@@ -2331,11 +2296,8 @@ mod tests {
 
     #[test]
     fn affinity_target_respects_turn_stickiness_and_load() {
-        let sessions = SessionConfig {
-            affinity_max_inflight: 4, // cap = floor(0.5 * 4) = 2
-            ..SessionConfig::reuse(0.5)
-        };
-        let mut w = session_world(sessions, 1);
+        // cap = floor(0.125 * 16) = 2
+        let mut w = session_world(SessionConfig::reuse(0.125), 1);
         let a = w
             .create_instance(ModelId(0), NodeId(0), 0, 4 * GB)
             .expect("fits");
@@ -2487,9 +2449,9 @@ mod tests {
             .create_instance(ModelId(1), NodeId(1), 0, GB)
             .expect("fits");
         assert_index_consistent(&w);
-        assert_eq!(w.instances_on_node(NodeId(0)), vec![a, b]);
-        assert_eq!(w.instances_on_slot(NodeId(0), 1), vec![a]);
-        assert_eq!(w.instances_of_model(ModelId(1)), vec![b, c]);
+        assert_eq!(w.node_instances(NodeId(0)), [a, b]);
+        assert_eq!(w.slot_instances(NodeId(0), 1), [a]);
+        assert_eq!(w.model_instances(ModelId(1)), [b, c]);
 
         w.unload_instance(b);
         assert_index_consistent(&w);
@@ -2497,7 +2459,7 @@ mod tests {
         // Node failure removes everything hosted in one sweep.
         w.apply_cluster_event(&ClusterEvent::NodeFail(NodeId(0)));
         assert_index_consistent(&w);
-        assert!(w.instances_on_node(NodeId(0)).is_empty());
+        assert!(w.node_instances(NodeId(0)).is_empty());
 
         // A joining node gets fresh (empty) lists and indexes new creates.
         w.apply_cluster_event(&ClusterEvent::NodeJoin(NodeSpec::multi_accel(
@@ -2509,8 +2471,8 @@ mod tests {
             .create_instance(ModelId(1), NodeId(2), 1, GB)
             .expect("fits");
         assert_index_consistent(&w);
-        assert_eq!(w.instances_on_slot(NodeId(2), 1), vec![d]);
-        assert_eq!(w.instances_of_model(ModelId(1)), vec![c, d]);
+        assert_eq!(w.slot_instances(NodeId(2), 1), [d]);
+        assert_eq!(w.model_instances(ModelId(1)), [c, d]);
     }
 
     #[test]

@@ -13,7 +13,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use cluster::{ClusterEvent, MemError, NodeId, Policy, World};
+use cluster::{
+    eviction_victim, AdmissionQueue, ClusterEvent, Handoff, MemError, NodeId, Policy, World,
+};
 use engine::instance::{InstanceId, InstanceState, IterationKind};
 use engine::request::{ReqPhase, RunningRequest};
 use hwmodel::HardwareSpec;
@@ -26,14 +28,16 @@ use crate::memory::{recommend_bytes, should_scale_down, MemoryPlanner, ScaleDeci
 use crate::quantify::QuantifierSet;
 use crate::shadow::{validate, InstView, ShadowReq, Verdict};
 
-/// Timer-payload tag distinguishing PD handoff timers from drop timers.
-const TAG_HANDOFF: u64 = 1 << 63;
-
-/// Timer-payload tag for the periodic liveness sweep.
+/// Timer-payload tag for the periodic liveness sweep (bit 62: request-id
+/// payloads never reach it, and hand-off timers own bit 63).
 const TAG_SWEEP: u64 = 1 << 62;
 
 /// Liveness sweep period.
 const SWEEP_PERIOD: SimDuration = SimDuration::from_millis(500);
+
+/// Prior for a model's mean output length (tokens) until its completions
+/// give a history.
+const DEFAULT_AVG_OUTPUT: f64 = 256.0;
 
 /// `r` as the shadow validator sees it, held to its SLO from `anchor`.
 fn shadow_req(w: &World, r: &RunningRequest, anchor: SimTime) -> ShadowReq {
@@ -63,10 +67,8 @@ pub struct Slinfer {
     planner: Option<MemoryPlanner>,
     /// Per-model historical output lengths: (sum, count).
     avg_out: BTreeMap<u32, (f64, u64)>,
-    /// Requests awaiting placement, with their drop deadlines.
-    queue: Vec<RunningRequest>,
-    /// Requests that already have a drop timer registered.
-    timers: BTreeSet<RequestId>,
+    /// Requests awaiting placement, with their drop timers.
+    queue: AdmissionQueue,
     /// When each slot's in-flight iteration ends (shadow start times).
     busy_until: BTreeMap<(u32, usize), SimTime>,
     /// Approved scale ops waiting for their instance to be free. Ordered:
@@ -81,7 +83,7 @@ pub struct Slinfer {
     /// PD mode: instances dedicated to prefill (§IX-G).
     prefill_insts: BTreeSet<InstanceId>,
     /// PD mode: requests in flight between prefill and decode instances.
-    pending_handoff: BTreeMap<u64, RunningRequest>,
+    handoff: Handoff,
 }
 
 impl Slinfer {
@@ -96,14 +98,13 @@ impl Slinfer {
             quant: QuantifierSet::new(0x51F3),
             planner: None,
             avg_out: BTreeMap::new(),
-            queue: Vec::new(),
-            timers: BTreeSet::new(),
+            queue: AdmissionQueue::default(),
             busy_until: BTreeMap::new(),
             wanted_scale: BTreeMap::new(),
             issued_scale: BTreeMap::new(),
             expected_active: BTreeMap::new(),
             prefill_insts: BTreeSet::new(),
-            pending_handoff: BTreeMap::new(),
+            handoff: Handoff::default(),
         }
     }
 
@@ -127,14 +128,14 @@ impl Slinfer {
     fn avg_output(&self, model: ModelId) -> f64 {
         match self.avg_out.get(&model.0) {
             Some(&(sum, n)) if n > 0 => sum / n as f64,
-            _ => self.cfg.default_avg_output,
+            _ => DEFAULT_AVG_OUTPUT,
         }
     }
 
-    fn l_min(&self, w: &World, model: ModelId) -> u32 {
-        self.cfg
-            .l_min_tokens
-            .unwrap_or_else(|| w.model_spec(model).max_context)
+    /// Floor of the KV demand estimate in tokens: the model's maximum
+    /// context length (§VII-A's `L_min`).
+    fn l_min(w: &World, model: ModelId) -> u32 {
+        w.model_spec(model).max_context
     }
 
     fn node_allowed(&self, w: &World, node: NodeId, model: ModelId) -> bool {
@@ -302,7 +303,7 @@ impl Slinfer {
     fn required_with(&self, w: &World, inst: InstanceId, rr: &RunningRequest) -> u64 {
         let i = w.instance(inst).expect("instance exists");
         let avg = self.avg_output(i.model);
-        let lmin = self.l_min(w, i.model);
+        let lmin = Self::l_min(w, i.model);
         let mut sum: f64 = i
             .requests()
             .iter()
@@ -448,7 +449,7 @@ impl Slinfer {
             return;
         }
         let avg = self.avg_output(i.model);
-        let lmin = self.l_min(w, i.model);
+        let lmin = Self::l_min(w, i.model);
         let require = i.kv_required_bytes(avg, lmin);
         let recommend = recommend_bytes(require, self.cfg.watermark);
         let cur = i.kv_capacity_bytes();
@@ -588,7 +589,7 @@ impl Slinfer {
         w.note_migration(&victim_reqs);
         for moved in drained {
             if !self.try_place(w, &moved, false) {
-                self.enqueue(w, moved);
+                self.queue.push(w, moved);
             }
         }
         // Now retry the target's memory path and admit.
@@ -605,7 +606,7 @@ impl Slinfer {
         let model = rr.req.model;
         let spec = w.model_spec(model).clone();
         let avg = self.avg_output(model);
-        let lmin = self.l_min(w, model);
+        let lmin = Self::l_min(w, model);
         let first_tokens = (rr.prefill_len() as f64 + avg).max(lmin as f64);
         let require = (first_tokens * spec.kv_bytes_per_token() as f64).ceil() as u64;
         let grant = recommend_bytes(require, self.cfg.watermark);
@@ -622,7 +623,7 @@ impl Slinfer {
             if !self.node_allowed(w, node, model) {
                 continue;
             }
-            if !self.cfg.enable_sharing && !w.instances_on_node(node).is_empty() {
+            if !self.cfg.enable_sharing && !w.node_instances(node).is_empty() {
                 continue;
             }
             if !self.request_feasible_on(w, node, rr) {
@@ -759,28 +760,18 @@ impl Slinfer {
         Err(rr)
     }
 
-    fn enqueue(&mut self, w: &mut World, rr: RunningRequest) {
-        let deadline = rr.next_deadline(&w.slo_for(&rr.req));
-        if w.now() >= deadline {
-            w.drop_request(&rr);
-            return;
-        }
-        if self.timers.insert(rr.req.id) {
-            w.set_timer(deadline - w.now(), rr.req.id.0);
-        }
-        self.queue.push(rr);
-    }
-
+    /// One retry pass over the queue. A placement may preempt a victim
+    /// whose drained requests are pushed mid-pass; they land between the
+    /// re-queued entries in the order the pass reaches them.
     fn retry_queue(&mut self, w: &mut World) {
         if self.queue.is_empty() {
             return;
         }
-        let pending = std::mem::take(&mut self.queue);
-        for rr in pending {
-            if w.now() >= rr.next_deadline(&w.slo_for(&rr.req)) {
+        for rr in self.queue.take() {
+            if AdmissionQueue::expired(w, &rr) {
                 w.drop_request(&rr);
             } else if !self.try_place(w, &rr, true) {
-                self.queue.push(rr);
+                self.queue.requeue(rr);
             }
         }
     }
@@ -845,7 +836,7 @@ impl Policy for Slinfer {
     fn on_arrival(&mut self, w: &mut World, rr: RunningRequest) {
         self.ensure_init(w);
         if !self.try_place(w, &rr, true) {
-            self.enqueue(w, rr);
+            self.queue.push(w, rr);
         }
     }
 
@@ -904,7 +895,7 @@ impl Policy for Slinfer {
                     let require = {
                         let Some(i) = w.instance(inst) else { continue };
                         let avg = self.avg_output(i.model);
-                        let lmin = self.l_min(w, i.model);
+                        let lmin = Self::l_min(w, i.model);
                         i.kv_required_bytes(avg, lmin)
                     };
                     let _ = self.plan_grow(w, inst, require);
@@ -919,18 +910,9 @@ impl Policy for Slinfer {
     }
 
     fn on_prefill_done(&mut self, w: &mut World, inst: InstanceId, req: RequestId) {
-        if !self.cfg.pd_disaggregate || !self.prefill_insts.contains(&inst) {
-            return;
+        if self.cfg.pd_disaggregate && self.prefill_insts.contains(&inst) {
+            self.handoff.start(w, inst, req);
         }
-        let now = w.now();
-        let rr = w
-            .instance_mut(inst)
-            .expect("prefill instance exists")
-            .remove_for_handoff(req, now);
-        w.schedule_keepalive(inst);
-        let delay = w.kv_transfer_delay(rr.req.model, rr.context_tokens());
-        self.pending_handoff.insert(req.0, rr);
-        w.set_timer(delay, TAG_HANDOFF | req.0);
     }
 
     fn on_scale_done(&mut self, w: &mut World, inst: InstanceId) {
@@ -960,7 +942,7 @@ impl Policy for Slinfer {
             )
         };
         let avg = self.avg_output(model);
-        let lmin = self.l_min(w, model);
+        let lmin = Self::l_min(w, model);
         let require = w
             .instance(inst)
             .map(|i| i.kv_required_bytes(avg, lmin))
@@ -969,21 +951,10 @@ impl Policy for Slinfer {
         if self.future_grant(w, inst) >= require || self.plan_grow(w, inst, require) {
             return; // relief is (or will be) on the way
         }
-        // Evict the longest-headroom request.
+        let Some(vid) = eviction_victim(w, inst) else {
+            return;
+        };
         let now = w.now();
-        let victim_req = w.instance(inst).and_then(|i| {
-            i.requests()
-                .iter()
-                .filter(|r| !matches!(r.phase, ReqPhase::Prefilling))
-                .max_by(|a, b| {
-                    // total_cmp: identical to partial_cmp on the non-NaN
-                    // headrooms this sees, but can never panic mid-run.
-                    a.headroom(now, &w.slo_for(&a.req))
-                        .total_cmp(&b.headroom(now, &w.slo_for(&b.req)))
-                })
-                .map(|r| r.req.id)
-        });
-        let Some(vid) = victim_req else { return };
         let moved = w
             .instance_mut(inst)
             .expect("instance exists")
@@ -991,13 +962,13 @@ impl Policy for Slinfer {
         w.note_migration(&[vid]);
         // Never bounce the eviction straight back onto the starved instance.
         if !self.try_place_excluding(w, &moved, false, Some(inst)) {
-            self.enqueue(w, moved);
+            self.queue.push(w, moved);
         }
     }
 
     fn on_keepalive(&mut self, w: &mut World, inst: InstanceId) {
         let Some(i) = w.instance(inst) else { return };
-        if i.has_live_requests() || i.busy || i.scaling {
+        if !i.is_idle() {
             return;
         }
         let Some((node, _)) = w.instance_placement(inst) else {
@@ -1065,7 +1036,7 @@ impl Policy for Slinfer {
         // onto other nodes.
         for rr in displaced {
             if !self.try_place(w, &rr, true) {
-                self.enqueue(w, rr);
+                self.queue.push(w, rr);
             }
         }
         self.retry_queue(w);
@@ -1090,37 +1061,15 @@ impl Policy for Slinfer {
             w.set_timer(SWEEP_PERIOD, TAG_SWEEP);
             return;
         }
-        if payload & TAG_HANDOFF != 0 {
-            let key = payload & !TAG_HANDOFF;
-            let Some(rr) = self.pending_handoff.remove(&key) else {
-                return;
-            };
-            match self.place_decode(w, rr) {
-                Ok(()) => {}
-                Err(rr) => {
-                    if w.now() > rr.next_deadline(&w.slo_for(&rr.req)) + SimDuration::from_secs(10)
-                    {
-                        w.drop_request(&rr);
-                    } else {
-                        self.pending_handoff.insert(key, rr);
-                        w.set_timer(SimDuration::from_millis(100), TAG_HANDOFF | key);
-                    }
+        if Handoff::owns(payload) {
+            if let Some(rr) = self.handoff.landed(payload) {
+                if let Err(rr) = self.place_decode(w, rr) {
+                    self.handoff.retry_or_drop(w, rr);
                 }
             }
             return;
         }
-        let id = RequestId(payload);
-        self.timers.remove(&id);
-        let now = w.now();
-        let mut kept = Vec::with_capacity(self.queue.len());
-        for rr in std::mem::take(&mut self.queue) {
-            if rr.req.id == id && now >= rr.next_deadline(&w.slo_for(&rr.req)) {
-                w.drop_request(&rr);
-            } else {
-                kept.push(rr);
-            }
-        }
-        self.queue = kept;
+        self.queue.on_timer(w, RequestId(payload));
     }
 }
 

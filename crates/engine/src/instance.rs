@@ -235,6 +235,12 @@ impl Instance {
         !self.requests.is_empty()
     }
 
+    /// True when the instance holds no live request and is neither
+    /// mid-iteration nor mid-rescale: keep-alive may reclaim it.
+    pub fn is_idle(&self) -> bool {
+        !self.has_live_requests() && !self.busy && !self.scaling
+    }
+
     /// The most urgent schedulable work: minimum headroom over waiting
     /// requests (→ prefill) and the decode batch (→ decode), per Fig. 14.
     pub fn most_urgent(&self, now: SimTime, slo: &Slo) -> Option<(f64, IterationKind)> {
