@@ -1,7 +1,7 @@
 //! The multi-experiment runner: enumerate, run one, or run all.
 //!
 //! ```text
-//! bench list                     # names and titles of all 26 experiments
+//! bench list                     # names and titles of all 34 experiments
 //! bench all [options]            # run every experiment, in registry order
 //! bench run <name> [options]     # run one experiment by name
 //! ```

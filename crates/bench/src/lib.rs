@@ -1,11 +1,11 @@
 //! Experiment harness for the SLINFER reproduction.
 //!
-//! Each table/figure of the paper is one [`registry`] entry with a binary
-//! stub under `src/bin/` (plus the `bench` multi-runner). This library
+//! Each table/figure of the paper is one [`registry`] entry, listed and
+//! run by the `bench` multi-runner (`src/bin/bench.rs`). This library
 //! holds the shared machinery:
 //!
 //! - [`cli`] — the unified `--seed`/`--quick`/`--threads`/`--json` command
-//!   line every binary accepts (with `SEED`/`BENCH_QUICK` env fallbacks).
+//!   line every `bench` command accepts.
 //! - [`sweep`] — the declarative (point × system × seed) [`sweep::Sweep`]
 //!   grid and its parallel, deterministic driver (progress/ETA on stderr
 //!   via [`sweep::Sweep::run_cli`]). Cells build a composable
@@ -21,8 +21,7 @@
 //! - [`memo`] — per-cell memoization for `bench all`: identical
 //!   (point × system × seed) cells an earlier experiment in the same
 //!   invocation already ran are served from cache, byte-identically.
-//! - [`registry`] — the experiment registry tooling enumerates, and the
-//!   shared binary entry point [`registry::main_for`].
+//! - [`registry`] — the experiment registry tooling enumerates.
 //! - [`experiments`] — the 26 paper experiments plus the scenario suite
 //!   (`slo_mix`, `fault_drain`, `mixed_arrivals`).
 //! - [`zoo`] — model-zoo builders (replica zoos, popularity mixes).
@@ -39,7 +38,7 @@ pub mod sweep;
 pub mod zoo;
 
 pub use cli::Cli;
-pub use registry::{find, main_for, run_experiment, Experiment, REGISTRY};
+pub use registry::{find, run_experiment, Experiment, REGISTRY};
 pub use report::{Report, Table};
 pub use runner::{System, SystemResult};
 pub use sweep::{Scenario, Sweep, SweepResults};

@@ -1,16 +1,16 @@
-//! The experiment registry and the shared binary entry point.
+//! The experiment registry.
 //!
 //! Every figure/table of the paper registers here, so tooling — the
-//! `bench` multi-runner, the smoke tests, CI — can enumerate the whole
-//! suite instead of hard-coding binary names. The per-figure binaries are
-//! one-line stubs over [`main_for`].
+//! `bench` multi-runner (`bench run NAME` runs one entry), the smoke
+//! tests, CI — can enumerate the whole suite instead of hard-coding
+//! experiment names.
 
-use crate::cli::{Cli, Parsed, USAGE};
+use crate::cli::Cli;
 use crate::experiments;
 use crate::report::Report;
 
-/// One registered experiment: a stable name (also the binary and JSON blob
-/// name), a human title, and the run function.
+/// One registered experiment: a stable name (also the JSON blob name), a
+/// human title, and the run function.
 pub struct Experiment {
     /// Stable identifier, e.g. `fig04_sllm_capacity`.
     pub name: &'static str,
@@ -251,7 +251,7 @@ pub fn run_experiment(exp: &Experiment, cli: &Cli) -> Report {
     report
 }
 
-/// Prints a report the way the binaries present it: text to stdout, blobs
+/// Prints a report the way `bench` presents it: text to stdout, blobs
 /// to `results/`, and — under `--json` — the blobs echoed to stdout.
 pub fn present(report: &Report, cli: &Cli) {
     print!("{}", report.text());
@@ -262,28 +262,6 @@ pub fn present(report: &Report, cli: &Cli) {
             println!("{blob}");
         }
     }
-}
-
-/// Entry point for the per-figure binary stubs: parse the unified CLI,
-/// run the named experiment, present it. Exits 2 on a bad command line.
-pub fn main_for(name: &str) {
-    let exp = find(name).unwrap_or_else(|| panic!("experiment `{name}` is not registered"));
-    // detlint::allow(D004, "CLI argument intake for single-experiment binaries; parsed before any simulation")
-    let cli = match Cli::parse(std::env::args().skip(1)) {
-        Ok(Parsed::Run(cli)) => cli,
-        Ok(Parsed::Help) => {
-            println!(
-                "{} — {}\n\nusage: {} [options]\n\n{}",
-                exp.name, exp.title, exp.name, USAGE
-            );
-            return;
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    present(&run_experiment(exp, &cli), &cli);
 }
 
 #[cfg(test)]

@@ -2,10 +2,10 @@
 //!
 //! The registry makes the whole suite enumerable (26 paper experiments
 //! plus the scenario suite), so instead of running one representative
-//! binary and hoping the rest share enough machinery,
+//! experiment and hoping the rest share enough machinery,
 //! this suite runs *every* registered experiment in-process under
 //! `--quick --threads 2` and checks the report invariants. Subprocess
-//! tests keep the binary stubs and the strict CLI honest.
+//! tests keep `bench run`/`bench list` and the strict CLI honest.
 
 use bench::cli::Cli;
 use bench::{registry, REGISTRY};
@@ -106,10 +106,10 @@ fn fig04_quick_blob_has_one_entry_per_point() {
     );
 }
 
-/// The binary stub wires argv → CLI → registry → stdout + results/ dump.
+/// `bench run` wires argv → CLI → registry → stdout + results/ dump.
 #[test]
 fn fig04_binary_runs_end_to_end() {
-    let exe = env!("CARGO_BIN_EXE_fig04_sllm_capacity");
+    let exe = env!("CARGO_BIN_EXE_bench");
     // Unique per process so concurrent `cargo test` runs don't race on it.
     let tmp = std::env::temp_dir().join(format!("slinfer-smoke-fig04-{}", std::process::id()));
     // Start from a clean scratch dir: the results dump is best-effort, so a
@@ -117,10 +117,11 @@ fn fig04_binary_runs_end_to_end() {
     let _ = std::fs::remove_dir_all(&tmp);
     std::fs::create_dir_all(&tmp).expect("create smoke workdir");
     let out = Command::new(exe)
+        .args(["run", "fig04_sllm_capacity"])
         .args(["--seed", "7", "--quick", "--threads", "2"])
         .current_dir(&tmp)
         .output()
-        .expect("figure binary must launch");
+        .expect("bench must launch");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         out.status.success(),
@@ -138,38 +139,15 @@ fn fig04_binary_runs_end_to_end() {
     assert_eq!(top_level_entries(&blob), 2, "one entry per sweep point");
 }
 
-/// `BENCH_QUICK=1` keeps working as a CI-compatible fallback for `--quick`.
-#[test]
-fn bench_quick_env_fallback_still_works() {
-    let exe = env!("CARGO_BIN_EXE_fig04_sllm_capacity");
-    let tmp = std::env::temp_dir().join(format!("slinfer-smoke-env-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&tmp);
-    std::fs::create_dir_all(&tmp).expect("create smoke workdir");
-    let out = Command::new(exe)
-        .args(["--seed", "7"])
-        .env("BENCH_QUICK", "1")
-        .current_dir(&tmp)
-        .output()
-        .expect("figure binary must launch");
-    assert!(out.status.success());
-    let blob = std::fs::read_to_string(tmp.join("results/fig04_sllm_capacity.json"))
-        .expect("JSON results dumped");
-    assert_eq!(
-        top_level_entries(&blob),
-        2,
-        "env fallback must shrink the sweep"
-    );
-}
-
 /// The old harness silently fell back to seed 42 on `--seed foo`; the
 /// unified CLI must reject it loudly instead.
 #[test]
 fn malformed_seed_is_a_hard_error() {
-    let exe = env!("CARGO_BIN_EXE_fig04_sllm_capacity");
+    let exe = env!("CARGO_BIN_EXE_bench");
     let out = Command::new(exe)
-        .args(["--seed", "foo"])
+        .args(["run", "fig04_sllm_capacity", "--seed", "foo"])
         .output()
-        .expect("binary must launch");
+        .expect("bench must launch");
     assert_eq!(out.status.code(), Some(2), "bad CLI must exit 2");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(

@@ -72,7 +72,7 @@ impl<P: Policy> Simulation<P> {
             .last()
             .map(|r| r.arrival)
             .unwrap_or(SimTime::ZERO);
-        let hard_stop = last_arrival + w.cfg.drain_grace;
+        let hard_stop = last_arrival + crate::world::DRAIN_GRACE;
         let mut arrivals_left = trace.len();
 
         while let Some((t, ev)) = self.world.events.pop() {

@@ -16,7 +16,7 @@
 //!   normal placement path.
 //! - **Migration** — an off-home turn can still skip recompute by shipping
 //!   the parked KV over the node fabric (always on with sessions),
-//!   paying `tokens · C / kv_transfer_gbps` of transfer delay instead of
+//!   paying `tokens · C / KV_TRANSFER_GBPS` of transfer delay instead of
 //!   the prefill tail (`RunMetrics::kv_migration_bytes` accounts it).
 //!
 //! [`SessionConfig::off`] — the default — disables everything and replays
@@ -56,7 +56,7 @@ impl SessionConfig {
 
     /// Prefix reuse with the given stickiness — the configuration the
     /// `session_reuse` experiment sweeps. An off-home turn ships the parked
-    /// KV over the fabric (priced at `WorldConfig::kv_transfer_gbps`)
+    /// KV over the fabric (priced at [`crate::world::KV_TRANSFER_GBPS`])
     /// instead of recomputing the prefix.
     pub fn reuse(stickiness: f64) -> Self {
         SessionConfig {

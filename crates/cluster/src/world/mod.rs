@@ -14,6 +14,11 @@
 //! [`MemError::WouldOom`] and is counted in
 //! [`RunMetrics::oom_incidents`](crate::metrics::RunMetrics::oom_incidents).
 //! SLINFER's orchestrator (§VII-C) exists to keep that counter at zero.
+//!
+//! Two mechanisms live in their own files: `instances.rs` holds the
+//! instance table and its per-node/slot/model indexes, and `loads.rs` the
+//! processor-shared loading channels cold starts run on. `World` composes
+//! them, so a policy still sees one facade.
 
 use std::collections::BTreeMap;
 
@@ -37,6 +42,22 @@ use crate::node::{ClusterSpec, NodeId, NodeSpec};
 use crate::sessions::{SessionConfig, AFFINITY_MAX_INFLIGHT};
 use workload::request::{Request, SloClass};
 
+mod instances;
+mod loads;
+
+pub use instances::Hosted;
+use instances::InstanceTable;
+use loads::{ActiveLoad, LoadChannels};
+
+/// Extra simulated time allowed after the last arrival before a run is
+/// force-terminated and unresolved requests are dropped.
+pub const DRAIN_GRACE: SimDuration = SimDuration::from_secs(900);
+
+/// Cross-node KV transfer bandwidth, GB/s: what PD disaggregation's
+/// hand-off and session KV migration are priced at (§IX-G uses 100 Gbps ⇒
+/// 12.5 GB/s).
+pub const KV_TRANSFER_GBPS: f64 = 12.5;
+
 /// Tunable run parameters shared by every policy.
 #[derive(Debug, Clone)]
 pub struct WorldConfig {
@@ -54,12 +75,6 @@ pub struct WorldConfig {
     pub seed: u64,
     /// Occupancy sampling period.
     pub sample_period: SimDuration,
-    /// Extra simulated time allowed after the last arrival before the run
-    /// is force-terminated and unresolved requests are dropped.
-    pub drain_grace: SimDuration,
-    /// Cross-node KV transfer bandwidth for PD disaggregation, GB/s
-    /// (§IX-G uses 100 Gbps ⇒ 12.5 GB/s).
-    pub kv_transfer_gbps: f64,
     /// The checkpoint storage hierarchy (per-node DRAM/SSD caches, loading
     /// contention, HBM hits). The default, [`CheckpointConfig::flat`],
     /// reproduces the legacy flat loader bit for bit.
@@ -98,8 +113,6 @@ impl Default for WorldConfig {
             noise: NoiseModel::default(),
             seed: 0,
             sample_period: SimDuration::from_secs(1),
-            drain_grace: SimDuration::from_secs(900),
-            kv_transfer_gbps: 12.5,
             checkpoints: CheckpointConfig::flat(),
             usage_sample_stride: 1,
             dist: DistConfig::off(),
@@ -235,21 +248,6 @@ pub(crate) enum Event {
     Cluster(ClusterEvent),
 }
 
-/// One in-flight cold start on a node's shared loading channel.
-#[derive(Debug, Clone)]
-struct ActiveLoad {
-    /// Seconds of work remaining at the load's *uncontended* tier
-    /// bandwidth (noise already folded in); the channel divides progress
-    /// by the number of concurrent loads.
-    remaining_s: f64,
-    /// The load's original uncontended work, seconds. `remaining_s /
-    /// work_s` is the fraction still to transfer — what a mid-flight
-    /// reroute re-prices from a new source after its peer died.
-    work_s: f64,
-    /// When the load began (completion reports `now - started`).
-    started: SimTime,
-}
-
 struct NodeState {
     hw: HardwareSpec,
     slot_shares: Vec<f64>,
@@ -258,13 +256,6 @@ struct NodeState {
     health: NodeHealth,
     /// Tiered checkpoint cache (DRAM/SSD LRU state machine).
     store: CheckpointStore,
-    /// In-flight contended loads sharing this node's loading channel.
-    loads: BTreeMap<InstanceId, ActiveLoad>,
-    /// Last time `loads` progress was settled.
-    loads_settled_at: SimTime,
-    /// Bumped on every channel-membership change; live `LoadDone` events
-    /// carry the current value.
-    load_epoch: u64,
 }
 
 impl NodeState {
@@ -276,262 +267,7 @@ impl NodeState {
             committed: 0,
             health: NodeHealth::Up,
             store: CheckpointStore::new(),
-            loads: BTreeMap::new(),
-            loads_settled_at: SimTime::ZERO,
-            load_epoch: 0,
         }
-    }
-}
-
-/// An instance plus its placement.
-pub struct Hosted {
-    /// The engine-level instance.
-    pub inst: Instance,
-    /// Node it resides on.
-    pub node: NodeId,
-    /// The full slot group this instance spans, ascending. One entry for
-    /// plain instances; `tp` entries for tensor-parallel placements, all
-    /// on [`Hosted::node`]. Iterations occupy every slot of the group.
-    pub slots: Vec<usize>,
-    /// The checkpoint tier this instance's cold start loaded from.
-    pub load_tier: CheckpointTier,
-    /// For a peer fabric fetch: the *source* node whose loading channel
-    /// the transfer contends on (`None` = the load runs on the instance's
-    /// own node, the classic path).
-    pub load_channel: Option<NodeId>,
-    /// True when the cold start streams over the peer-to-peer fabric
-    /// (its seconds are accounted to
-    /// [`RunMetrics::peer_fetch_seconds`](crate::metrics::RunMetrics::peer_fetch_seconds),
-    /// not the local tier table).
-    pub fabric: bool,
-    /// Keep-alive periods this instance has already deferred because it
-    /// held the fleet's last warm copy of its checkpoint (cache-aware
-    /// keep-alive; bounded by [`KEEPALIVE_DEFER_MAX`]).
-    pub keepalive_defers: u32,
-}
-
-impl Hosted {
-    /// Primary slot (the first of the group) — the single-slot address
-    /// legacy queries use.
-    pub fn slot(&self) -> usize {
-        self.slots[0]
-    }
-}
-
-/// Secondary indexes over [`World::instances`], maintained on every
-/// create / unload / node-fail / node-join.
-///
-/// The hot loop asks "who is on this slot", "who is on this node" and
-/// "where does this model run" once or more per event; at fleet scale the
-/// full-map scans behind those queries were the profile top. Every list
-/// stays ascending by instance id — ids are handed out monotonically, so
-/// inserts append — which preserves the exact iteration order of the
-/// `BTreeMap` scans the index replaces (runs stay byte-identical).
-#[derive(Default)]
-struct InstanceIndex {
-    /// `[node]` → hosted instance ids (ascending).
-    by_node: Vec<Vec<InstanceId>>,
-    /// `[node][slot]` → ids of instances whose slot group covers the slot
-    /// (a tensor-parallel instance appears under every slot it spans).
-    by_slot: Vec<Vec<Vec<InstanceId>>>,
-    /// `[model]` → instance ids (ascending); sized to the model registry.
-    by_model: Vec<Vec<InstanceId>>,
-    /// Nodes with ≥ 1 resident instance, by hardware kind. Occupancy
-    /// sampling reads these counters instead of scanning the fleet.
-    used_cpu_nodes: u32,
-    used_gpu_nodes: u32,
-}
-
-impl InstanceIndex {
-    fn new(slots_per_node: &[usize], n_models: usize) -> Self {
-        InstanceIndex {
-            by_node: vec![Vec::new(); slots_per_node.len()],
-            by_slot: slots_per_node
-                .iter()
-                .map(|&n| vec![Vec::new(); n])
-                .collect(),
-            by_model: vec![Vec::new(); n_models],
-            used_cpu_nodes: 0,
-            used_gpu_nodes: 0,
-        }
-    }
-
-    /// Registers a node that joined mid-run.
-    fn add_node(&mut self, n_slots: usize) {
-        self.by_node.push(Vec::new());
-        self.by_slot.push(vec![Vec::new(); n_slots]);
-    }
-
-    /// Files `id` at the given position, keeping every list sorted.
-    fn insert(
-        &mut self,
-        id: InstanceId,
-        node: usize,
-        slots: &[usize],
-        model: usize,
-        kind: HardwareKind,
-    ) {
-        if self.by_node[node].is_empty() {
-            match kind {
-                HardwareKind::Gpu => self.used_gpu_nodes += 1,
-                _ => self.used_cpu_nodes += 1,
-            }
-        }
-        Self::sorted_insert(&mut self.by_node[node], id);
-        for &s in slots {
-            Self::sorted_insert(&mut self.by_slot[node][s], id);
-        }
-        Self::sorted_insert(&mut self.by_model[model], id);
-    }
-
-    /// Unfiles `id`; the caller passes the placement it was filed under.
-    fn remove(
-        &mut self,
-        id: InstanceId,
-        node: usize,
-        slots: &[usize],
-        model: usize,
-        kind: HardwareKind,
-    ) {
-        Self::sorted_remove(&mut self.by_node[node], id);
-        if self.by_node[node].is_empty() {
-            match kind {
-                HardwareKind::Gpu => self.used_gpu_nodes -= 1,
-                _ => self.used_cpu_nodes -= 1,
-            }
-        }
-        for &s in slots {
-            Self::sorted_remove(&mut self.by_slot[node][s], id);
-        }
-        Self::sorted_remove(&mut self.by_model[model], id);
-    }
-
-    fn sorted_insert(list: &mut Vec<InstanceId>, id: InstanceId) {
-        // Instance ids are monotone, so this is an append in practice.
-        match list.binary_search(&id) {
-            Ok(_) => debug_assert!(false, "instance indexed twice"),
-            Err(pos) => list.insert(pos, id),
-        }
-    }
-
-    fn sorted_remove(list: &mut Vec<InstanceId>, id: InstanceId) {
-        if let Ok(pos) = list.binary_search(&id) {
-            list.remove(pos);
-        } else {
-            debug_assert!(false, "removing an unindexed instance");
-        }
-    }
-}
-
-/// `slot_of` entry of an id with no live value.
-const NO_SLOT: u32 = u32::MAX;
-
-/// Dense id-keyed storage for [`World`]'s hosted instances.
-///
-/// The token-iteration path looks its instance up about a dozen times per
-/// `IterationDone`, so a lookup is one index into `slot_of` and one into
-/// `slab` instead of a tree descent:
-/// - `slab` holds the values; slots vacated by removals are recycled
-///   through `free`, so the slab tracks the *live* population, not every
-///   instance a churn-heavy run ever created;
-/// - `slot_of[id]` is the id's slab slot, [`NO_SLOT`] once it is removed
-///   (ids are handed out monotonically, so this costs 4 bytes per id
-///   ever issued and a recycled slot can never answer for a dead id);
-/// - `live` lists the live ids in ascending order.
-///
-/// [`InstanceArena::values`] and friends walk `live`, so they visit live
-/// instances only, in exactly the ascending-id order of the `BTreeMap`
-/// this replaced. Float accumulations over instances (occupancy samples,
-/// end-of-run lifetimes) depend on that order to stay bit-identical.
-struct InstanceArena<T> {
-    slab: Vec<Option<T>>,
-    free: Vec<u32>,
-    slot_of: Vec<u32>,
-    live: Vec<InstanceId>,
-}
-
-impl<T> InstanceArena<T> {
-    fn new() -> Self {
-        InstanceArena {
-            slab: Vec::new(),
-            free: Vec::new(),
-            slot_of: Vec::new(),
-            live: Vec::new(),
-        }
-    }
-
-    fn slot(&self, id: InstanceId) -> Option<usize> {
-        match self.slot_of.get(id.0 as usize) {
-            Some(&s) if s != NO_SLOT => Some(s as usize),
-            _ => None,
-        }
-    }
-
-    fn get(&self, id: InstanceId) -> Option<&T> {
-        self.slab[self.slot(id)?].as_ref()
-    }
-
-    fn get_mut(&mut self, id: InstanceId) -> Option<&mut T> {
-        let s = self.slot(id)?;
-        self.slab[s].as_mut()
-    }
-
-    /// Inserts the value for a fresh `id`, one above every id inserted
-    /// before — `World` hands ids out monotonically — so the ascending
-    /// live list grows by an append.
-    fn insert(&mut self, id: InstanceId, value: T) {
-        let ix = id.0 as usize;
-        debug_assert!(
-            ix >= self.slot_of.len(),
-            "instance ids must be fresh and ascending"
-        );
-        let s = match self.free.pop() {
-            Some(s) => {
-                self.slab[s as usize] = Some(value);
-                s
-            }
-            None => {
-                self.slab.push(Some(value));
-                (self.slab.len() - 1) as u32
-            }
-        };
-        if ix >= self.slot_of.len() {
-            self.slot_of.resize(ix + 1, NO_SLOT);
-        }
-        self.slot_of[ix] = s;
-        self.live.push(id);
-    }
-
-    fn remove(&mut self, id: InstanceId) -> Option<T> {
-        let s = self.slot(id)?;
-        self.slot_of[id.0 as usize] = NO_SLOT;
-        self.free.push(s as u32);
-        if let Ok(pos) = self.live.binary_search(&id) {
-            self.live.remove(pos);
-        }
-        self.slab[s].take()
-    }
-
-    /// Live values in ascending id order.
-    fn values(&self) -> impl Iterator<Item = &T> + '_ {
-        self.iter().map(|(_, v)| v)
-    }
-
-    /// Live `(id, value)` pairs in ascending id order.
-    fn iter(&self) -> impl Iterator<Item = (&InstanceId, &T)> + '_ {
-        self.live
-            .iter()
-            .filter_map(|id| Some((id, self.slab[self.slot(*id)?].as_ref()?)))
-    }
-}
-
-impl<T> std::ops::Index<&InstanceId> for InstanceArena<T> {
-    type Output = T;
-
-    /// The `BTreeMap` indexing contract: the id must be live.
-    fn index(&self, id: &InstanceId) -> &T {
-        // detlint::allow(D005, "same contract as the BTreeMap index it replaces: World indexes only ids it just looked up or that its documented # Panics preconditions require to be live")
-        self.get(*id).expect("unknown instance")
     }
 }
 
@@ -542,10 +278,8 @@ pub struct World {
     clock: SimTime,
     pub(crate) events: EventQueue<Event>,
     nodes: Vec<NodeState>,
-    instances: InstanceArena<Hosted>,
-    /// Indexed views of `instances` (per node / slot / model), maintained
-    /// incrementally so hot-path lookups avoid full-map scans.
-    index: InstanceIndex,
+    instances: InstanceTable,
+    loads: LoadChannels,
     next_instance: u64,
     models: Vec<ModelSpec>,
     perf: AnalyticPerf,
@@ -553,11 +287,6 @@ pub struct World {
     /// Fleet-wide checkpoint replica directory (only maintained while
     /// `cfg.dist` is enabled; empty otherwise).
     dir: CheckpointDirectory,
-    /// World-global loading-channel epoch counter. Epoch values only ever
-    /// matter by equality, but a reroute can move a load *between*
-    /// channels — globally unique epochs make a stale event from the old
-    /// channel unable to collide with the new channel's current epoch.
-    next_load_epoch: u64,
     /// Session id → instance holding the session's parked KV. Only
     /// maintained while `cfg.sessions` is enabled; entries are validated
     /// lazily (the home may have unloaded or evicted the session since).
@@ -579,22 +308,24 @@ impl World {
         cluster.validate().expect("invalid cluster");
         assert!(!models.is_empty(), "model registry is empty");
         let nodes: Vec<NodeState> = cluster.nodes.iter().map(NodeState::new).collect();
-        let slots_per_node: Vec<usize> = nodes.iter().map(|n| n.slot_shares.len()).collect();
-        let index = InstanceIndex::new(&slots_per_node, models.len());
+        let instances = InstanceTable::new(
+            nodes.iter().map(|n| (n.slot_shares.len(), n.hw.kind)),
+            models.len(),
+        );
+        let loads = LoadChannels::new(nodes.len(), cfg.checkpoints.contention);
         let rng = SimRng::new(cfg.seed).split(0xC1A5);
         World {
             cfg,
             clock: SimTime::ZERO,
             events: EventQueue::new(),
             nodes,
-            instances: InstanceArena::new(),
-            index,
+            instances,
+            loads,
             next_instance: 1,
             models,
             perf: AnalyticPerf::new(),
             rng,
             dir: CheckpointDirectory::new(),
-            next_load_epoch: 0,
             session_home: BTreeMap::new(),
             metrics: RunMetrics::default(),
             outstanding: 0,
@@ -655,21 +386,9 @@ impl World {
         self.nodes[node.0 as usize].health == NodeHealth::Up
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// All node ids.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.nodes.len() as u32).map(NodeId)
-    }
-
-    /// Node ids of the given hardware kind.
-    pub fn nodes_of_kind(&self, kind: HardwareKind) -> Vec<NodeId> {
-        self.node_ids()
-            .filter(|&n| self.node_hw(n).kind == kind)
-            .collect()
     }
 
     /// Hardware of a node.
@@ -681,11 +400,6 @@ impl World {
     pub fn node_available_bytes(&self, node: NodeId) -> u64 {
         let n = &self.nodes[node.0 as usize];
         n.hw.mem_bytes.saturating_sub(n.committed)
-    }
-
-    /// Bytes committed on a node (weights + KV grants + in-flight growth).
-    pub fn node_committed_bytes(&self, node: NodeId) -> u64 {
-        self.nodes[node.0 as usize].committed
     }
 
     /// Number of slots on a node.
@@ -771,7 +485,7 @@ impl World {
             return None;
         }
         let mut ranked: Vec<(usize, usize)> = (0..n_slots)
-            .map(|s| (self.index.by_slot[node.0 as usize][s].len(), s))
+            .map(|s| (self.instances.on_slot(node, s).len(), s))
             .collect();
         ranked.sort();
         let mut group: Vec<usize> = ranked.into_iter().take(k).map(|(_, s)| s).collect();
@@ -781,18 +495,18 @@ impl World {
 
     /// The instances hosted on `node` (ascending ids).
     pub fn node_instances(&self, node: NodeId) -> &[InstanceId] {
-        &self.index.by_node[node.0 as usize]
+        self.instances.on_node(node)
     }
 
     /// The instances whose slot group includes `slot` (ascending ids; a
     /// tensor-parallel instance appears on every slot it spans).
     pub fn slot_instances(&self, node: NodeId, slot: usize) -> &[InstanceId] {
-        &self.index.by_slot[node.0 as usize][slot]
+        self.instances.on_slot(node, slot)
     }
 
     /// All instances of a model across the cluster (ascending ids).
     pub fn model_instances(&self, model: ModelId) -> &[InstanceId] {
-        &self.index.by_model[model.0 as usize]
+        self.instances.of_model(model)
     }
 
     // ------------------------------------------------------------------
@@ -805,35 +519,6 @@ impl World {
         &self.perf
     }
 
-    /// Noiseless prefill estimate for an instance's placement (group share
-    /// and tensor-parallel overhead included).
-    pub fn estimate_prefill_s(&self, inst: InstanceId, len: u32) -> f64 {
-        let share = self.instance_share(inst);
-        let h = &self.instances[&inst];
-        self.perf.prefill_time_tp(
-            &h.inst.spec,
-            self.node_hw(h.node),
-            len.max(1),
-            share,
-            h.inst.tp,
-        )
-    }
-
-    /// Noiseless decode estimate for an instance's placement (group share
-    /// and tensor-parallel overhead included).
-    pub fn estimate_decode_s(&self, inst: InstanceId, batch: u32, total_ctx: u64) -> f64 {
-        let share = self.instance_share(inst);
-        let h = &self.instances[&inst];
-        self.perf.decode_time_tp(
-            &h.inst.spec,
-            self.node_hw(h.node),
-            batch,
-            total_ctx,
-            share,
-            h.inst.tp,
-        )
-    }
-
     /// True when a cold start of `model` on `node` would be served from
     /// HBM: the config enables HBM hits and an *active* instance of the
     /// model already holds the weights in serving memory (a loading
@@ -841,7 +526,7 @@ impl World {
     /// actual load must agree on this predicate, so both use it.
     fn hbm_resident(&self, model: ModelId, node: NodeId) -> bool {
         self.cfg.checkpoints.hbm_hits
-            && self.index.by_node[node.0 as usize].iter().any(|id| {
+            && self.instances.on_node(node).iter().any(|id| {
                 let h = &self.instances[id];
                 h.inst.model == model && h.inst.state == InstanceState::Active
             })
@@ -858,22 +543,6 @@ impl World {
         self.nodes[node.0 as usize]
             .store
             .peek_tier(model, &self.cfg.checkpoints)
-    }
-
-    /// Models currently in `node`'s DRAM checkpoint cache, coldest first
-    /// (empty while the DRAM tier is unbounded — nothing is tracked).
-    pub fn checkpoint_dram_models(&self, node: NodeId) -> Vec<ModelId> {
-        self.nodes[node.0 as usize].store.dram_models()
-    }
-
-    /// Models currently on `node`'s SSD checkpoint tier, coldest first.
-    pub fn checkpoint_ssd_models(&self, node: NodeId) -> Vec<ModelId> {
-        self.nodes[node.0 as usize].store.ssd_models()
-    }
-
-    /// Cold starts currently sharing `node`'s loading channel.
-    pub fn loads_in_flight(&self, node: NodeId) -> usize {
-        self.nodes[node.0 as usize].loads.len()
     }
 
     /// Cold-start duration estimate for a model on a node: ServerlessLLM's
@@ -902,10 +571,10 @@ impl World {
     /// transfer has to beat.
     fn local_estimate_load_s(&self, model: ModelId, node: NodeId) -> f64 {
         let tier = self.checkpoint_tier(model, node);
-        let concurrent = if self.cfg.checkpoints.contention && tier != CheckpointTier::Hbm {
-            self.nodes[node.0 as usize].loads.len() as u32 + 1
-        } else {
+        let concurrent = if tier == CheckpointTier::Hbm {
             1
+        } else {
+            self.loads.share(node)
         };
         self.perf
             .load_time(self.model_spec(model), self.node_hw(node), tier, concurrent)
@@ -914,73 +583,65 @@ impl World {
     /// Plans the cheapest peer transfer of `model` to `dest`, or `None`
     /// when the local hierarchy wins (or no usable replica exists). Shared
     /// by [`World::estimate_load_s`] and the create path, so estimates and
-    /// actual transfers always agree on the source. Deterministic: replicas
-    /// are scanned in node order and ties break toward the lower node id;
-    /// no RNG is consulted.
+    /// actual transfers always agree on the source.
     fn plan_transfer(&self, model: ModelId, dest: NodeId) -> Option<TransferPlan> {
         let dist = self.cfg.dist;
         if !dist.fetch_enabled() {
             return None;
         }
-        let bytes = self.model_spec(model).weights_bytes();
+        let bytes = self.model_spec(model).weights_bytes() as f64;
+        let (est_s, node, relay, work_s) =
+            self.cheapest_peer(model, dest, bytes, dist.multicast)?;
+        (est_s < self.local_estimate_load_s(model, dest)).then_some(TransferPlan {
+            source: TransferSource::Peer { node, relay },
+            work_s,
+            est_s,
+        })
+    }
+
+    /// The cheapest replica to stream `bytes` of `model` to `dest` from,
+    /// over the fabric. Arriving copies are eligible as multicast relays
+    /// only when `relays` is set. A stream is bounded by the receiver's
+    /// fabric port and the source's tier read path, pays the fabric
+    /// latency, and joins the *source's* loading channel, so its estimate
+    /// is its work times that channel's share. Returns `(est_s, source,
+    /// relay, work_s)`. Deterministic: replicas are scanned in node order
+    /// and ties break toward the lower node id; no RNG is consulted.
+    fn cheapest_peer(
+        &self,
+        model: ModelId,
+        dest: NodeId,
+        bytes: f64,
+        relays: bool,
+    ) -> Option<(f64, NodeId, bool, f64)> {
         let dest_hw = self.node_hw(dest);
-        let mut best: Option<TransferPlan> = None;
+        let mut best: Option<(f64, NodeId, bool, f64)> = None;
         for rep in self.dir.replicas(model) {
             if rep.node == dest || !self.node_schedulable(rep.node) {
                 continue;
             }
             let relay = rep.state == ReplicaState::Arriving;
-            if relay && !dist.multicast {
+            if relay && !relays {
                 continue;
             }
             let src_hw = self.node_hw(rep.node);
-            // A fabric stream is bounded by the receiver's fabric port and
-            // the source's tier read path.
             let rate = dest_hw.fabric_bw_gbps.min(src_hw.tier_bw_gbps(rep.tier));
             if rate <= 0.0 {
                 continue;
             }
-            let mut work = bytes as f64 / (rate * 1e9);
+            let mut work = bytes / (rate * 1e9);
             if relay {
                 // A relay pipelines behind its parent's inbound stream: the
                 // hop cannot finish before the parent's own tail arrives.
                 work = work.max(self.inbound_remaining_s(model, rep.node));
             }
             work += dest_hw.fabric_latency_s;
-            // The transfer joins the *source's* loading channel.
-            let k = if self.cfg.checkpoints.contention {
-                self.nodes[rep.node.0 as usize].loads.len() as f64 + 1.0
-            } else {
-                1.0
-            };
-            let est = work * k;
-            let better = match &best {
-                None => true,
-                Some(b) => {
-                    let b_node = match b.source {
-                        TransferSource::Peer { node, .. } => node,
-                        TransferSource::Local(_) => unreachable!("planner only picks peers"),
-                    };
-                    (est, rep.node) < (b.est_s, b_node)
-                }
-            };
-            if better {
-                best = Some(TransferPlan {
-                    source: TransferSource::Peer {
-                        node: rep.node,
-                        relay,
-                    },
-                    work_s: work,
-                    est_s: est,
-                });
+            let est = work * self.loads.share(rep.node) as f64;
+            if best.is_none_or(|(b_est, b_node, ..)| (est, rep.node) < (b_est, b_node)) {
+                best = Some((est, rep.node, relay, work));
             }
         }
-        let plan = best?;
-        if plan.est_s < self.local_estimate_load_s(model, dest) {
-            Some(plan)
-        } else {
-            None
-        }
+        best
     }
 
     /// Settled seconds remaining on the in-flight load bringing `model`
@@ -994,12 +655,8 @@ impl World {
             if h.node != holder || h.inst.state != InstanceState::Loading {
                 continue;
             }
-            let ch = h.load_channel.unwrap_or(h.node).0 as usize;
-            let n = &self.nodes[ch];
-            if let Some(l) = n.loads.get(&id) {
-                let k = n.loads.len() as f64;
-                let elapsed = self.clock.since(n.loads_settled_at).as_secs_f64();
-                worst = worst.max((l.remaining_s - elapsed / k).max(0.0));
+            if let Some(rem) = self.loads.remaining_s(id, h.channel(), self.clock) {
+                worst = worst.max(rem);
             }
         }
         worst
@@ -1046,86 +703,34 @@ impl World {
     /// resume over the destination's own remote link. Deterministic — the
     /// event-application path consults no RNG, and the fresh channel epoch
     /// keeps the dead channel's LoadDone events stale.
-    fn reroute_transfer(
-        &mut self,
-        inst: InstanceId,
-        remaining_s: f64,
-        work_s: f64,
-        started: SimTime,
-    ) {
+    fn reroute_transfer(&mut self, inst: InstanceId, load: &ActiveLoad) {
         let (model, dest) = {
             let h = &self.instances[&inst];
             (h.inst.model, h.node)
         };
-        let frac = if work_s > 0.0 {
-            (remaining_s / work_s).clamp(0.0, 1.0)
+        let frac = if load.work_s > 0.0 {
+            (load.remaining_s / load.work_s).clamp(0.0, 1.0)
         } else {
             0.0
         };
         let bytes_left = self.model_spec(model).weights_bytes() as f64 * frac;
-        let dest_hw = self.node_hw(dest);
-        let fabric_lat = dest_hw.fabric_latency_s;
-        let dest_fabric = dest_hw.fabric_bw_gbps;
-        let remote_bw = dest_hw.remote_bw_gbps;
-        let mut best: Option<(f64, NodeId, f64)> = None; // (est, src, hop seconds)
-        for rep in self.dir.replicas(model) {
-            if rep.node == dest
-                || rep.state != ReplicaState::Ready
-                || !self.node_schedulable(rep.node)
-            {
-                continue;
-            }
-            let rate = dest_fabric.min(self.node_hw(rep.node).tier_bw_gbps(rep.tier));
-            if rate <= 0.0 {
-                continue;
-            }
-            let t = bytes_left / (rate * 1e9) + fabric_lat;
-            let k = if self.cfg.checkpoints.contention {
-                self.nodes[rep.node.0 as usize].loads.len() as f64 + 1.0
-            } else {
-                1.0
-            };
-            let est = t * k;
-            let better = match best {
-                None => true,
-                Some((be, bn, _)) => (est, rep.node) < (be, bn),
-            };
-            if better {
-                best = Some((est, rep.node, t));
-            }
-        }
-        let (channel, t) = match best {
-            Some((_, src, t)) => (src, t),
-            None => (dest, bytes_left / (remote_bw * 1e9)),
+        let (channel, t) = match self.cheapest_peer(model, dest, bytes_left, false) {
+            Some((_, src, _, work_s)) => (src, work_s),
+            None => (dest, bytes_left / (self.node_hw(dest).remote_bw_gbps * 1e9)),
         };
         self.instances
             .get_mut(inst)
             // detlint::allow(D005, "reroute only runs for instances the failing node's loading list still names; absence is directory corruption")
             .expect("reroute target exists")
             .load_channel = (channel != dest).then_some(channel);
-        let ch = channel.0 as usize;
-        if self.cfg.checkpoints.contention {
-            self.settle_loads(ch);
-            self.nodes[ch].loads.insert(
-                inst,
-                ActiveLoad {
-                    remaining_s: t,
-                    work_s: t,
-                    started,
-                },
-            );
-            self.reschedule_loads(ch);
-        } else {
-            let finish = self.clock + SimDuration::from_secs_f64(t);
-            self.events.push(
-                finish,
-                Event::LoadDone {
-                    inst,
-                    elapsed: finish.since(started),
-                    epoch: 0,
-                },
-            );
-        }
+        self.loads.start(
+            inst,
+            Some(channel),
+            t,
+            load.started,
+            self.clock,
+            &mut self.events,
+        );
     }
 
     /// Cache-aware keep-alive: returns true when unloading this idle
@@ -1184,7 +789,7 @@ impl World {
     /// KV-transfer delay for PD disaggregation: `tokens · C / bandwidth`.
     pub fn kv_transfer_delay(&self, model: ModelId, tokens: u32) -> SimDuration {
         let bytes = tokens as u64 * self.model_spec(model).kv_bytes_per_token();
-        SimDuration::from_secs_f64(bytes as f64 / (self.cfg.kv_transfer_gbps * 1e9))
+        SimDuration::from_secs_f64(bytes as f64 / (KV_TRANSFER_GBPS * 1e9))
     }
 
     // ------------------------------------------------------------------
@@ -1265,20 +870,22 @@ impl World {
         // stream over the fabric into DRAM, contending on the *source*
         // node's loading channel instead of the local one.
         let ix = node.0 as usize;
-        let ckpt = self.cfg.checkpoints.clone();
         let hbm = self.hbm_resident(model, node);
         let plan = if self.cfg.dist.fetch_enabled() && !hbm {
             self.plan_transfer(model, node)
         } else {
             None
         };
+        // Empty unless cache-aware, which makes the ranked fetch plain LRU.
         let ranks = if self.cfg.dist.cache_aware {
             self.dram_eviction_ranks(node)
         } else {
             Vec::new()
         };
+        let ckpt = &self.cfg.checkpoints;
+        let store = &mut self.nodes[ix].store;
         let (tier, peer) = if hbm {
-            self.nodes[ix].store.touch(model);
+            store.touch(model);
             (CheckpointTier::Hbm, None)
         } else if let Some(TransferPlan {
             source: TransferSource::Peer { node: src, relay },
@@ -1286,19 +893,10 @@ impl World {
             ..
         }) = plan
         {
-            self.nodes[ix]
-                .store
-                .admit_fabric(model, spec.weights_bytes(), &ckpt, &ranks);
+            store.admit_fabric(model, spec.weights_bytes(), ckpt, &ranks);
             (CheckpointTier::Dram, Some((src, relay, work_s)))
-        } else if self.cfg.dist.cache_aware {
-            let t = self.nodes[ix]
-                .store
-                .fetch_ranked(model, spec.weights_bytes(), &ckpt, &ranks);
-            (t, None)
         } else {
-            let t = self.nodes[ix]
-                .store
-                .fetch(model, spec.weights_bytes(), &ckpt);
+            let t = store.fetch_ranked(model, spec.weights_bytes(), ckpt, &ranks);
             (t, None)
         };
         if self.cfg.dist.enabled() {
@@ -1307,10 +905,12 @@ impl World {
                 self.dir.mark_arriving(model, node);
             }
         }
-        let mut inst = Instance::new(id, model, spec.clone(), kv_grant_bytes, self.clock);
+        let base = match peer {
+            Some((_, _, work_s)) => work_s,
+            None => self.perf.load_time(&spec, &self.nodes[ix].hw, tier, 1),
+        };
+        let mut inst = Instance::new(id, model, spec, kv_grant_bytes, self.clock);
         inst.retain_sessions = self.cfg.sessions.enabled;
-        self.index
-            .insert(id, ix, &slots, model.0 as usize, self.nodes[ix].hw.kind);
         self.instances.insert(
             id,
             Hosted {
@@ -1318,7 +918,7 @@ impl World {
                 node,
                 slots,
                 load_tier: tier,
-                load_channel: None,
+                load_channel: peer.map(|(src, _, _)| src),
                 fabric: peer.is_some(),
                 keepalive_defers: 0,
             },
@@ -1333,123 +933,17 @@ impl World {
             }
             None => self.metrics.cold_tier_loads[tier.index()] += 1,
         }
-        let hw = self.nodes[ix].hw.clone();
-        let base = match peer {
-            Some((_, _, work_s)) => work_s,
-            None => self.perf.load_time(&spec, &hw, tier, 1),
-        };
         let work = self.cfg.noise.apply(base, &mut self.rng);
+        // A fabric stream shares the source's loading channel with the
+        // source's own cold starts; an HBM hit is a device copy that joins
+        // no channel.
         let channel = match peer {
-            // A fabric stream shares the source's loading channel with the
-            // source's own cold starts.
-            Some((src, _, _)) if ckpt.contention => Some(src.0 as usize),
-            None if ckpt.contention && tier != CheckpointTier::Hbm => Some(ix),
-            _ => None,
+            Some((src, _, _)) => Some(src),
+            None => (tier != CheckpointTier::Hbm).then_some(node),
         };
-        if let Some(ch) = channel {
-            // Join the shared loading channel: everyone slows down to bw/k
-            // and the whole channel is rescheduled.
-            if ch != ix {
-                self.instances
-                    .get_mut(id)
-                    // detlint::allow(D005, "this function inserted `id` into the map earlier in the same call")
-                    .expect("just inserted")
-                    .load_channel = Some(NodeId(ch as u32));
-            }
-            self.settle_loads(ch);
-            self.nodes[ch].loads.insert(
-                id,
-                ActiveLoad {
-                    remaining_s: work,
-                    work_s: work,
-                    started: self.clock,
-                },
-            );
-            self.reschedule_loads(ch);
-        } else {
-            let dur = SimDuration::from_secs_f64(work);
-            self.events.push(
-                self.clock + dur,
-                Event::LoadDone {
-                    inst: id,
-                    elapsed: dur,
-                    epoch: 0,
-                },
-            );
-        }
+        self.loads
+            .start(id, channel, work, self.clock, self.clock, &mut self.events);
         Ok(id)
-    }
-
-    // ------------------------------------------------------------------
-    // Shared loading channel (contended cold starts)
-    // ------------------------------------------------------------------
-
-    /// Advances every in-flight load on a node to `now`: with `k` loads
-    /// sharing the channel, each completes `1/k` units of work per second.
-    fn settle_loads(&mut self, node_ix: usize) {
-        let now = self.clock;
-        let n = &mut self.nodes[node_ix];
-        let k = n.loads.len();
-        if k > 0 {
-            let elapsed = now.since(n.loads_settled_at).as_secs_f64();
-            if elapsed > 0.0 {
-                let rate = 1.0 / k as f64;
-                for l in n.loads.values_mut() {
-                    l.remaining_s = (l.remaining_s - elapsed * rate).max(0.0);
-                }
-            }
-        }
-        n.loads_settled_at = now;
-    }
-
-    /// Reschedules every in-flight load on a node after a membership
-    /// change (a load joined, finished, or was cancelled): each load's
-    /// completion lands at `now + remaining · k`, under a fresh epoch so
-    /// previously pushed events go stale.
-    fn reschedule_loads(&mut self, node_ix: usize) {
-        // Epochs come from a world-global counter: a load that migrates
-        // between channels (source-node failure reroute) can then never be
-        // confirmed by a stale event that happens to carry the new
-        // channel's current per-node count. Only equality is ever checked,
-        // so the switch from per-node counters is behavior-neutral.
-        self.next_load_epoch += 1;
-        let n = &mut self.nodes[node_ix];
-        n.load_epoch = self.next_load_epoch;
-        let epoch = n.load_epoch;
-        let k = n.loads.len();
-        if k == 0 {
-            return;
-        }
-        let now = self.clock;
-        let pending: Vec<(SimTime, InstanceId, SimTime)> = n
-            .loads
-            .iter()
-            .map(|(&inst, l)| {
-                let finish = now + SimDuration::from_secs_f64(l.remaining_s * k as f64);
-                (finish, inst, l.started)
-            })
-            .collect();
-        for (finish, inst, started) in pending {
-            self.events.push(
-                finish,
-                Event::LoadDone {
-                    inst,
-                    elapsed: finish.since(started),
-                    epoch,
-                },
-            );
-        }
-    }
-
-    /// Removes a (possibly absent) in-flight contended load, speeding the
-    /// survivors back up. Used when a loading instance is unloaded (drain)
-    /// or preempted before its cold start finished.
-    fn cancel_load(&mut self, inst: InstanceId, node_ix: usize) {
-        if self.nodes[node_ix].loads.contains_key(&inst) {
-            self.settle_loads(node_ix);
-            self.nodes[node_ix].loads.remove(&inst);
-            self.reschedule_loads(node_ix);
-        }
     }
 
     /// Validates a `LoadDone` event against the loading channel. Returns
@@ -1465,20 +959,11 @@ impl World {
         if epoch == 0 {
             return Some(elapsed);
         }
-        let node_ix = match self.instances.get(inst) {
-            // A peer fetch lives on the *source* node's channel.
-            Some(h) => h.load_channel.unwrap_or(h.node).0 as usize,
-            // The instance died (NodeFail / drain unload) with its load.
-            None => return None,
-        };
-        if epoch != self.nodes[node_ix].load_epoch || !self.nodes[node_ix].loads.contains_key(&inst)
-        {
-            return None;
-        }
-        self.settle_loads(node_ix);
-        self.nodes[node_ix].loads.remove(&inst);
-        self.reschedule_loads(node_ix);
-        Some(elapsed)
+        // The instance may have died (NodeFail / drain unload) with its load.
+        let ch = self.instances.get(inst)?.channel();
+        self.loads
+            .finish(inst, ch, epoch, self.clock, &mut self.events)
+            .then_some(elapsed)
     }
 
     /// Admits a request to an instance. If the instance is still loading,
@@ -1490,9 +975,7 @@ impl World {
         // detlint::allow(D005, "documented # Panics contract: callers admit only to instances they just placed or looked up")
         let h = self.instances.get_mut(inst).expect("unknown instance");
         h.inst.admit(rr);
-        for &s in &h.slots {
-            self.wake.push((h.node, s));
-        }
+        h.wake_slots(&mut self.wake);
     }
 
     /// Admits a request that finished prefill elsewhere (PD disaggregation,
@@ -1510,14 +993,11 @@ impl World {
             // live usage past an in-flight shrink target.
             return false;
         }
-        if h.inst.admit_decoding(rr) {
-            for &s in &h.slots {
-                self.wake.push((h.node, s));
-            }
-            true
-        } else {
-            false
+        let admitted = h.inst.admit_decoding(rr);
+        if admitted {
+            h.wake_slots(&mut self.wake);
         }
+        admitted
     }
 
     /// Starts an iteration on an instance, occupying its whole slot group.
@@ -1591,7 +1071,7 @@ impl World {
                             let bytes = tokens as u64 * h.inst.spec.kv_bytes_per_token();
                             self.metrics.kv_migrations += 1;
                             self.metrics.kv_migration_bytes += bytes;
-                            base += bytes as f64 / (self.cfg.kv_transfer_gbps * 1e9);
+                            base += bytes as f64 / (KV_TRANSFER_GBPS * 1e9);
                         }
                         None => self.metrics.prefix_hit_tokens += ps.cached_tokens as u64,
                     }
@@ -1685,31 +1165,17 @@ impl World {
     /// Panics if the instance still has live requests, is mid-iteration, or
     /// is mid-rescale.
     pub fn unload_instance(&mut self, inst: InstanceId) {
-        // detlint::allow(D005, "documented # Panics contract: unloads name instances the policy holds")
-        let h = self.instances.remove(inst).expect("unknown instance");
+        let h = self.teardown(inst);
         assert!(h.inst.is_idle(), "unloading a non-idle instance");
-        self.index.remove(
-            inst,
-            h.node.0 as usize,
-            &h.slots,
-            h.inst.model.0 as usize,
-            self.nodes[h.node.0 as usize].hw.kind,
-        );
-        let freed = h.inst.spec.weights_bytes() + h.inst.kv_capacity_bytes();
-        // A still-loading instance leaves the shared loading channel, and
-        // any co-loading survivors speed back up. A peer fetch lives on
-        // the *source* node's channel.
-        let channel = h.load_channel.unwrap_or(h.node);
-        self.cancel_load(inst, channel.0 as usize);
         if self.cfg.dist.enabled() {
             // Drop any arriving marker. The tier entry stays: the store
             // keeps admitted-but-cancelled checkpoints (PR 5 semantics),
             // so the directory keeps reporting the copy too.
             self.dir.mark_ready(h.inst.model, h.node);
         }
+        let freed = h.inst.spec.weights_bytes() + h.inst.kv_capacity_bytes();
         let node = &mut self.nodes[h.node.0 as usize];
         node.committed = node.committed.saturating_sub(freed);
-        self.metrics.instance_lifetime_s += self.clock.since(h.inst.created_at).as_secs_f64();
         // Unloading discards the instance's parked session KV with it.
         if self.cfg.sessions.enabled {
             for sid in h.inst.session_ids() {
@@ -1718,9 +1184,23 @@ impl World {
                 }
             }
         }
-        for &s in &h.slots {
-            self.wake.push((h.node, s));
-        }
+        h.wake_slots(&mut self.wake);
+    }
+
+    /// Removes an instance from the table and from its loading channel (a
+    /// still-loading instance leaves it, and any co-loading survivors speed
+    /// back up) and books its lifetime. The part of an unload that a node
+    /// failure shares.
+    ///
+    /// # Panics
+    /// Panics if the instance does not exist.
+    fn teardown(&mut self, inst: InstanceId) -> Hosted {
+        // detlint::allow(D005, "documented # Panics contract: unloads name instances the policy holds, and a failing node's instances are listed from the table")
+        let h = self.instances.remove(inst).expect("unknown instance");
+        self.loads
+            .leave(inst, h.channel(), self.clock, &mut self.events);
+        self.metrics.instance_lifetime_s += self.clock.since(h.inst.created_at).as_secs_f64();
+        h
     }
 
     /// Schedules a policy timer.
@@ -1855,62 +1335,44 @@ impl World {
                     self.nodes[node.0 as usize].health = NodeHealth::Down;
                     self.metrics.node_failures += 1;
                 }
-                // Fabric transfers streaming *out* of this node (peer
-                // fetches whose destination survives) must be rerouted
-                // before the channel dies: settle them and remember how
-                // much of each stream is left.
-                let mut rerouted: Vec<(InstanceId, f64, f64, SimTime)> = Vec::new();
-                if self.cfg.dist.enabled() {
-                    self.settle_loads(node.0 as usize);
-                    for (&id, l) in &self.nodes[node.0 as usize].loads {
-                        if let Some(h) = self.instances.get(id) {
-                            if h.node != *node {
-                                rerouted.push((id, l.remaining_s, l.work_s, l.started));
-                            }
-                        }
-                    }
-                }
+                // The node's in-flight loads die with its channel; their
+                // LoadDone events go stale with the entries. Fabric
+                // transfers streaming *out* of it (peer fetches whose
+                // destination survives) are rerouted below, from how much
+                // of each stream is left.
+                let outbound = self.loads.fail(*node, self.clock);
+                let rerouted: Vec<(InstanceId, ActiveLoad)> = if self.cfg.dist.enabled() {
+                    outbound
+                        .into_iter()
+                        .filter(|(id, _)| self.instances.get(*id).is_some_and(|h| h.node != *node))
+                        .collect()
+                } else {
+                    Vec::new()
+                };
                 let n = &mut self.nodes[node.0 as usize];
                 n.committed = 0;
                 for b in &mut n.slot_busy {
                     *b = false;
                 }
                 // The checkpoint cache dies with the host (DRAM is gone and
-                // the disk never rejoins the fleet), and so do in-flight
-                // loads — their LoadDone events go stale with the entries.
+                // the disk never rejoins the fleet).
                 n.store.clear();
-                n.loads.clear();
                 self.dir.clear_node(*node);
-                // Everything hosted is gone; salvage the request states.
+                // Everything hosted is gone; salvage the request states. A
+                // cold start streaming *into* this node over a surviving
+                // peer's channel leaves that channel, so the survivors
+                // there speed back up.
                 let lost: Vec<InstanceId> = self.node_instances(*node).to_vec();
-                let now = self.clock;
                 let mut displaced = Vec::new();
                 for inst in lost {
-                    // detlint::allow(D005, "`lost` was enumerated from this map in this match arm; no removal happens in between")
-                    let mut h = self.instances.remove(inst).expect("listed");
-                    // A cold start streaming *into* this node over a
-                    // surviving peer's channel leaves that channel, so the
-                    // survivors there speed back up.
-                    if let Some(ch) = h.load_channel {
-                        if ch != *node {
-                            self.cancel_load(inst, ch.0 as usize);
-                        }
-                    }
-                    self.index.remove(
-                        inst,
-                        h.node.0 as usize,
-                        &h.slots,
-                        h.inst.model.0 as usize,
-                        self.nodes[h.node.0 as usize].hw.kind,
-                    );
-                    let moved = h.inst.drain_for_preemption(now);
+                    let mut h = self.teardown(inst);
+                    let moved = h.inst.drain_for_preemption(self.clock);
                     let ids: Vec<RequestId> = moved.iter().map(|r| r.req.id).collect();
                     self.note_migration(&ids);
-                    self.metrics.instance_lifetime_s += now.since(h.inst.created_at).as_secs_f64();
                     displaced.extend(moved);
                 }
-                for (id, rem, work, started) in rerouted {
-                    self.reroute_transfer(id, rem, work, started);
+                for (id, load) in rerouted {
+                    self.reroute_transfer(id, &load);
                     self.metrics.transfer_reroutes += 1;
                 }
                 displaced
@@ -1919,7 +1381,9 @@ impl World {
                 // detlint::allow(D005, "scenario precondition: a NodeJoin event carrying a malformed spec is a bug in the experiment definition")
                 spec.validate().expect("invalid joining node");
                 self.nodes.push(NodeState::new(spec));
-                self.index.add_node(spec.slot_shares.len());
+                self.instances
+                    .add_node(spec.slot_shares.len(), spec.hw.kind);
+                self.loads.add_node();
                 self.metrics.node_joins += 1;
                 Vec::new()
             }
@@ -1960,8 +1424,8 @@ impl World {
             let busy = &mut self.nodes[h.node.0 as usize].slot_busy;
             for &s in &h.slots {
                 busy[s] = false;
-                self.wake.push((h.node, s));
             }
+            h.wake_slots(&mut self.wake);
         }
     }
 
@@ -1994,9 +1458,7 @@ impl World {
         }
         self.metrics.scale_ops += 1;
         self.metrics.scale_blocked_s += elapsed.as_secs_f64();
-        for &s in &h.slots {
-            self.wake.push((h.node, s));
-        }
+        h.wake_slots(&mut self.wake);
     }
 
     pub(crate) fn apply_load_done(&mut self, inst: InstanceId, elapsed: SimDuration) {
@@ -2024,9 +1486,7 @@ impl World {
                     graced.push((r.req.id, elapsed));
                 }
             }
-            for &s in &h.slots {
-                self.wake.push((h.node, s));
-            }
+            h.wake_slots(&mut self.wake);
         }
         for (id, grace) in graced {
             let rec = self.metrics.record_mut(id);
@@ -2040,8 +1500,7 @@ impl World {
         let t = self.clock.as_secs_f64();
         // Maintained on every instance create/unload, so sampling is O(1)
         // in fleet size instead of an O(nodes × instances) residency scan.
-        let cpu_used = self.index.used_cpu_nodes;
-        let gpu_used = self.index.used_gpu_nodes;
+        let (cpu_used, gpu_used) = self.instances.used_nodes();
         self.metrics.sample_usage(t, cpu_used, gpu_used);
         for h in self.instances.values() {
             if h.inst.state != InstanceState::Active {
@@ -2095,24 +1554,81 @@ mod tests {
 
     const GB: u64 = 1_000_000_000;
 
-    /// Asserts the arena and its `BTreeMap` reference hold the same live
-    /// set, visited in the same ascending order.
-    fn assert_arena_matches(arena: &InstanceArena<u32>, map: &BTreeMap<InstanceId, u32>) {
-        assert_eq!(arena.live, map.keys().copied().collect::<Vec<_>>());
+    /// A table over one 3-slot CPU node and one 3-slot GPU node, for two
+    /// models.
+    fn small_table() -> InstanceTable {
+        let nodes = [(3, HardwareKind::CpuAccel), (3, HardwareKind::Gpu)];
+        InstanceTable::new(nodes.into_iter(), 2)
+    }
+
+    /// A value whose placement is a function of `v`, and which carries `v`
+    /// in `keepalive_defers` so it can be compared to a plain map.
+    fn hosted(id: InstanceId, v: u32) -> Hosted {
+        let spec = ModelSpec::llama2_7b();
+        Hosted {
+            inst: Instance::new(id, ModelId(v % 2), spec, 0, SimTime::ZERO),
+            node: NodeId(v / 2 % 2),
+            slots: vec![(v % 3) as usize],
+            load_tier: CheckpointTier::Remote,
+            load_channel: None,
+            fabric: false,
+            keepalive_defers: v,
+        }
+    }
+
+    /// Asserts the table and its `BTreeMap` reference hold the same live
+    /// set, visited in the same ascending order, and that every index and
+    /// used-node counter matches its brute-force definition.
+    fn assert_table_matches(table: &InstanceTable, map: &BTreeMap<InstanceId, u32>) {
         assert_eq!(
-            arena.values().copied().collect::<Vec<_>>(),
-            map.values().copied().collect::<Vec<_>>()
-        );
-        assert_eq!(
-            arena.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>(),
+            table
+                .iter()
+                .map(|(&k, h)| (k, h.keepalive_defers))
+                .collect::<Vec<_>>(),
             map.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>()
         );
+        assert_eq!(
+            table
+                .values()
+                .map(|h| h.keepalive_defers)
+                .collect::<Vec<_>>(),
+            map.values().copied().collect::<Vec<_>>()
+        );
+        let ids = |pred: &dyn Fn(&Hosted) -> bool| -> Vec<InstanceId> {
+            table
+                .iter()
+                .filter(|(_, h)| pred(h))
+                .map(|(&id, _)| id)
+                .collect()
+        };
+        let mut used = (0, 0);
+        for n in 0..2 {
+            let node = NodeId(n);
+            assert_eq!(table.on_node(node), ids(&|h| h.node == node));
+            for s in 0..3 {
+                let on = ids(&|h| h.node == node && h.slots.contains(&s));
+                assert_eq!(table.on_slot(node, s), on);
+            }
+            if !table.on_node(node).is_empty() {
+                if n == 0 {
+                    used.0 += 1;
+                } else {
+                    used.1 += 1;
+                }
+            }
+        }
+        for m in 0..2 {
+            let model = ModelId(m);
+            assert_eq!(table.of_model(model), ids(&|h| h.inst.model == model));
+        }
+        assert_eq!(table.used_nodes(), used);
     }
 
     proptest! {
-        /// Shadow equivalence: the instance arena and the `BTreeMap` it
-        /// replaced agree on every lookup and every ascending walk, for
-        /// any interleaving of inserts (fresh ascending ids, with gaps, as
+        /// Shadow equivalence: the instance table and the `BTreeMap` it
+        /// replaced agree on every lookup and every ascending walk, and its
+        /// indexes track their brute-force definition, for any
+        /// interleaving of inserts (fresh ascending ids, with gaps, as
         /// `World` issues them), removes of live, dead and never-issued
         /// ids, lookups and in-place updates.
         #[test]
@@ -2133,51 +1649,61 @@ mod tests {
                 1..300,
             ),
         ) {
-            let mut arena: InstanceArena<u32> = InstanceArena::new();
+            let mut table = small_table();
             let mut map: BTreeMap<InstanceId, u32> = BTreeMap::new();
             let mut next = 0u64;
             for (op, arg, v) in ops {
                 if op == 0 {
                     next += arg;
-                    arena.insert(InstanceId(next), v);
+                    table.insert(InstanceId(next), hosted(InstanceId(next), v));
                     map.insert(InstanceId(next), v);
-                    assert_arena_matches(&arena, &map);
+                    assert_table_matches(&table, &map);
                     continue;
                 }
                 let id = InstanceId(arg);
                 match op {
-                    1 => prop_assert_eq!(arena.remove(id), map.remove(&id)),
-                    2 => prop_assert_eq!(arena.get(id), map.get(&id)),
+                    1 => prop_assert_eq!(
+                        table.remove(id).map(|h| h.keepalive_defers),
+                        map.remove(&id)
+                    ),
+                    2 => prop_assert_eq!(
+                        table.get(id).map(|h| h.keepalive_defers),
+                        map.get(&id).copied()
+                    ),
                     _ => {
-                        if let Some(x) = arena.get_mut(id) {
-                            *x = v;
+                        if let Some(h) = table.get_mut(id) {
+                            h.keepalive_defers = v;
                         }
                         if let Some(x) = map.get_mut(&id) {
                             *x = v;
                         }
                     }
                 }
-                assert_arena_matches(&arena, &map);
+                assert_table_matches(&table, &map);
             }
         }
     }
 
     #[test]
     fn removed_id_stays_absent_after_its_slot_is_reused() {
-        let mut arena: InstanceArena<u32> = InstanceArena::new();
-        arena.insert(InstanceId(1), 10);
-        arena.insert(InstanceId(2), 20);
-        assert_eq!(arena.remove(InstanceId(1)), Some(10));
+        let mut table = small_table();
+        let defers = |h: Option<&Hosted>| h.map(|h| h.keepalive_defers);
+        table.insert(InstanceId(1), hosted(InstanceId(1), 10));
+        table.insert(InstanceId(2), hosted(InstanceId(2), 20));
+        let removed = table.remove(InstanceId(1));
+        assert_eq!(defers(removed.as_ref()), Some(10));
         // The next insert recycles slab slot 0, which id 1 used to own.
-        arena.insert(InstanceId(3), 30);
-        assert_eq!(arena.slab.len(), 2, "the vacated slot was reused");
-        assert_eq!(arena.get(InstanceId(1)), None);
-        assert_eq!(arena.remove(InstanceId(1)), None);
-        assert_eq!(arena.get(InstanceId(3)), Some(&30));
-        assert_eq!(arena.live, [InstanceId(2), InstanceId(3)]);
-        assert_eq!(arena.values().copied().collect::<Vec<_>>(), vec![20, 30]);
+        table.insert(InstanceId(3), hosted(InstanceId(3), 30));
+        assert_eq!(table.slab_len(), 2, "the vacated slot was reused");
+        assert_eq!(defers(table.get(InstanceId(1))), None);
+        assert!(table.remove(InstanceId(1)).is_none());
+        assert_eq!(defers(table.get(InstanceId(3))), Some(30));
+        let live: Vec<InstanceId> = table.iter().map(|(&id, _)| id).collect();
+        assert_eq!(live, [InstanceId(2), InstanceId(3)]);
+        let values: Vec<u32> = table.values().map(|h| h.keepalive_defers).collect();
+        assert_eq!(values, vec![20, 30]);
         // Ids never issued, past the end of the id table, are absent too.
-        assert_eq!(arena.get(InstanceId(1_000)), None);
+        assert_eq!(defers(table.get(InstanceId(1_000))), None);
     }
 
     fn tiered_world(nodes: ClusterSpec, models: Vec<ModelSpec>) -> World {
@@ -2197,15 +1723,15 @@ mod tests {
         );
         w.create_instance(ModelId(0), NodeId(0), 0, 4 * GB)
             .expect("fits");
-        assert_eq!(w.checkpoint_dram_models(NodeId(0)), vec![ModelId(0)]);
-        assert_eq!(w.checkpoint_ssd_models(NodeId(0)), vec![ModelId(0)]);
-        assert_eq!(w.loads_in_flight(NodeId(0)), 1);
+        assert_eq!(w.nodes[0].store.dram_models(), vec![ModelId(0)]);
+        assert_eq!(w.nodes[0].store.ssd_models(), vec![ModelId(0)]);
+        assert_eq!(w.loads.len(NodeId(0)), 1);
         let displaced = w.apply_cluster_event(&ClusterEvent::NodeFail(NodeId(0)));
         assert!(displaced.is_empty(), "nothing admitted yet");
         // DRAM died with the host; the disk never rejoins the fleet.
-        assert!(w.checkpoint_dram_models(NodeId(0)).is_empty());
-        assert!(w.checkpoint_ssd_models(NodeId(0)).is_empty());
-        assert_eq!(w.loads_in_flight(NodeId(0)), 0);
+        assert!(w.nodes[0].store.dram_models().is_empty());
+        assert!(w.nodes[0].store.ssd_models().is_empty());
+        assert_eq!(w.loads.len(NodeId(0)), 0);
         assert_eq!(
             w.checkpoint_tier(ModelId(0), NodeId(0)),
             CheckpointTier::Remote
@@ -2228,7 +1754,7 @@ mod tests {
         let _ = w.apply_cluster_event(&ClusterEvent::NodeDrain(NodeId(0)));
         // A drained node keeps its warm tiers: if it rejoins the
         // schedulable set, the checkpoint is still DRAM-local.
-        assert_eq!(w.checkpoint_dram_models(NodeId(0)), vec![ModelId(0)]);
+        assert_eq!(w.nodes[0].store.dram_models(), vec![ModelId(0)]);
         assert_eq!(
             w.checkpoint_tier(ModelId(0), NodeId(0)),
             CheckpointTier::Dram
@@ -2342,7 +1868,7 @@ mod tests {
         let mut w = tiered_world(nodes, vec![tp_model, ModelSpec::llama2_7b()]);
         w.create_instance_group(ModelId(0), NodeId(0), &[0, 1], 8 * GB)
             .expect("fits");
-        assert_eq!(w.loads_in_flight(NodeId(0)), 1);
+        assert_eq!(w.loads.len(NodeId(0)), 1);
         // A second model's estimate sees exactly 2-way contention (itself
         // plus the TP group), not 1 + tp.
         let est = w.estimate_load_s(ModelId(1), NodeId(0));
@@ -2377,11 +1903,11 @@ mod tests {
         // Once the channel clears the estimate is the plain DRAM hit.
         w.unload_instance(inst);
         assert_eq!(w.estimate_load_s(ModelId(0), NodeId(0)), dram);
-        assert_eq!(w.loads_in_flight(NodeId(0)), 0);
+        assert_eq!(w.loads.len(NodeId(0)), 0);
     }
 
     /// Rebuilds every index list by brute force over the instance map and
-    /// asserts the incrementally maintained `InstanceIndex` matches.
+    /// asserts the incrementally maintained table indexes match.
     fn assert_index_consistent(w: &World) {
         for (i, n) in w.nodes.iter().enumerate() {
             let node = NodeId(i as u32);
@@ -2421,10 +1947,10 @@ mod tests {
                 }
             }
         }
-        assert_eq!((w.index.used_cpu_nodes, w.index.used_gpu_nodes), (cpu, gpu));
+        assert_eq!(w.instances.used_nodes(), (cpu, gpu));
     }
 
-    /// The instance index must track the brute-force definition through
+    /// The instance indexes must track the brute-force definition through
     /// every mutation path: create (plain and TP group), unload, node
     /// failure (bulk removal), node join (fresh lists), and re-creation.
     #[test]
@@ -2496,7 +2022,7 @@ mod tests {
         // Cold starts never join the loading channel in flat mode.
         w.create_instance(ModelId(0), NodeId(1), 0, 4 * GB)
             .expect("fits");
-        assert_eq!(w.loads_in_flight(NodeId(1)), 0);
+        assert_eq!(w.loads.len(NodeId(1)), 0);
         assert_eq!(w.metrics.cold_tier_loads, [0, 1, 0, 0]);
     }
 
@@ -2526,7 +2052,7 @@ mod tests {
             DistConfig::peer(),
         );
         warm(&mut w, ModelId(0), NodeId(0));
-        assert_eq!(w.loads_in_flight(NodeId(0)), 0);
+        assert_eq!(w.loads.len(NodeId(0)), 0);
 
         let spec = w.model_spec(ModelId(0)).clone();
         let dest = w.node_hw(NodeId(1)).clone();
@@ -2542,14 +2068,14 @@ mod tests {
         w.create_instance(ModelId(0), NodeId(1), 0, GB)
             .expect("fits");
         // The transfer rides the *source* node's loading channel.
-        assert_eq!(w.loads_in_flight(NodeId(0)), 1);
-        assert_eq!(w.loads_in_flight(NodeId(1)), 0);
+        assert_eq!(w.loads.len(NodeId(0)), 1);
+        assert_eq!(w.loads.len(NodeId(1)), 0);
         assert_eq!(w.metrics.cold_starts, 2);
         assert_eq!(w.metrics.peer_fetches, 1);
         assert_eq!(w.metrics.multicast_relays, 0);
         // The fabric admit lands in DRAM with no SSD write-through.
-        assert_eq!(w.checkpoint_dram_models(NodeId(1)), vec![ModelId(0)]);
-        assert!(w.checkpoint_ssd_models(NodeId(1)).is_empty());
+        assert_eq!(w.nodes[1].store.dram_models(), vec![ModelId(0)]);
+        assert!(w.nodes[1].store.ssd_models().is_empty());
     }
 
     #[test]
@@ -2566,7 +2092,7 @@ mod tests {
             .expect("fits");
         assert_eq!(w.metrics.peer_fetches, 2);
         assert_eq!(w.metrics.multicast_relays, 0);
-        assert_eq!(w.loads_in_flight(NodeId(0)), 2);
+        assert_eq!(w.loads.len(NodeId(0)), 2);
 
         // Multicast: the second scale-out relays off node 1's still
         // arriving copy instead of doubling up on the seed's channel.
@@ -2578,8 +2104,8 @@ mod tests {
             .expect("fits");
         assert_eq!(w.metrics.peer_fetches, 2);
         assert_eq!(w.metrics.multicast_relays, 1);
-        assert_eq!(w.loads_in_flight(NodeId(0)), 1);
-        assert_eq!(w.loads_in_flight(NodeId(1)), 1);
+        assert_eq!(w.loads.len(NodeId(0)), 1);
+        assert_eq!(w.loads.len(NodeId(1)), 1);
     }
 
     #[test]
@@ -2595,13 +2121,13 @@ mod tests {
             .create_instance(ModelId(0), NodeId(1), 0, GB)
             .expect("fits");
         // Equal-cost sources tie-break toward the lower node id.
-        assert_eq!(w.loads_in_flight(NodeId(0)), 1);
+        assert_eq!(w.loads.len(NodeId(0)), 1);
         w.apply_cluster_event(&ClusterEvent::NodeFail(NodeId(0)));
         // The survivor re-sources from node 2's ready copy; the instance
         // itself (on the untouched node 1) lives on.
         assert_eq!(w.metrics.transfer_reroutes, 1);
-        assert_eq!(w.loads_in_flight(NodeId(2)), 1);
-        assert_eq!(w.loads_in_flight(NodeId(1)), 0);
+        assert_eq!(w.loads.len(NodeId(2)), 1);
+        assert_eq!(w.loads.len(NodeId(1)), 0);
         assert!(w.instance(inst).is_some());
     }
 
@@ -2620,8 +2146,64 @@ mod tests {
         // No ready replica is left anywhere: the remainder resumes from
         // the registry over the destination's own channel.
         assert_eq!(w.metrics.transfer_reroutes, 1);
-        assert_eq!(w.loads_in_flight(NodeId(1)), 1);
+        assert_eq!(w.loads.len(NodeId(1)), 1);
         assert!(w.instance(inst).is_some());
+    }
+
+    /// With loading contention off, a fabric transfer runs for a fixed
+    /// duration on no channel, so a source failure mid-transfer finds no
+    /// channel entry to reroute: the stream still lands at its original
+    /// time, priced from the dead peer. This pins today's behaviour; the
+    /// contended path above re-sources instead.
+    #[test]
+    fn uncontended_transfer_keeps_its_landing_time_on_source_failure() {
+        let cfg = WorldConfig {
+            noise: NoiseModel::off(),
+            checkpoints: CheckpointConfig {
+                contention: false,
+                ..CheckpointConfig::tiered(30 * GB, Some(100 * GB))
+            },
+            dist: DistConfig::peer(),
+            ..WorldConfig::default()
+        };
+        let mut w = World::new(
+            &ClusterSpec::heterogeneous(0, 3),
+            vec![ModelSpec::llama2_7b()],
+            cfg,
+        );
+        warm(&mut w, ModelId(0), NodeId(0));
+        warm(&mut w, ModelId(0), NodeId(2));
+        let fetches = w.metrics.peer_fetches;
+        let inst = w
+            .create_instance(ModelId(0), NodeId(1), 0, GB)
+            .expect("fits");
+        assert_eq!(w.metrics.peer_fetches, fetches + 1);
+        assert_eq!(w.loads.len(NodeId(0)), 0, "no channel without contention");
+        // Equal-cost sources tie-break toward node 0.
+        let dest = w.node_hw(NodeId(1)).clone();
+        let rate = dest
+            .fabric_bw_gbps
+            .min(w.node_hw(NodeId(0)).tier_bw_gbps(CheckpointTier::Dram));
+        let bytes = w.model_spec(ModelId(0)).weights_bytes() as f64;
+        let fabric = SimDuration::from_secs_f64(bytes / (rate * 1e9) + dest.fabric_latency_s);
+        w.set_now(SimTime::ZERO + SimDuration::from_micros(fabric.as_micros() / 2));
+        w.apply_cluster_event(&ClusterEvent::NodeFail(NodeId(0)));
+        assert_eq!(w.metrics.transfer_reroutes, 0);
+        assert_eq!(w.instance(inst).unwrap().state, InstanceState::Loading);
+        let mut landings = Vec::new();
+        while let Some((at, ev)) = w.events.pop() {
+            if let Event::LoadDone {
+                inst: i,
+                elapsed,
+                epoch,
+            } = ev
+            {
+                if i == inst {
+                    landings.push((at, elapsed, epoch));
+                }
+            }
+        }
+        assert_eq!(landings, [(SimTime::ZERO + fabric, fabric, 0)]);
     }
 
     #[test]
@@ -2646,7 +2228,7 @@ mod tests {
         // A second model's fetch evicts it from the one-checkpoint DRAM.
         w.create_instance(ModelId(1), NodeId(0), 0, GB)
             .expect("fits");
-        assert_eq!(w.checkpoint_dram_models(NodeId(0)), vec![ModelId(1)]);
+        assert_eq!(w.nodes[0].store.dram_models(), vec![ModelId(1)]);
         // `a` now hosts the fleet's last warm copy: defer, up to the bound.
         assert!(w.keepalive_defer(a));
         assert!(w.keepalive_defer(a));

@@ -3,10 +3,43 @@
 use proptest::prelude::*;
 
 use simcore::dist::{discrete, exponential, gamma, lognormal, pareto, zipf_weights};
-use simcore::events::{EventQueue, HeapQueue};
+use simcore::events::EventQueue;
 use simcore::rng::SimRng;
 use simcore::stats::{Summary, TimeWeighted};
 use simcore::time::{SimDuration, SimTime};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// The original `BinaryHeap`-backed event queue, kept as the shadow
+/// reference the calendar queue must match: pops in `(time, seq)` order,
+/// with O(log n) push/pop. Events are `u64` ids here, which is all the
+/// equivalence properties push.
+struct HeapQueue {
+    heap: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
+    next_seq: u64,
+}
+
+impl HeapQueue {
+    fn new() -> Self {
+        HeapQueue {
+            heap: BinaryHeap::new(),
+            next_seq: 0,
+        }
+    }
+
+    fn push(&mut self, at: SimTime, event: u64) {
+        self.heap.push(Reverse((at, self.next_seq, event)));
+        self.next_seq += 1;
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        self.heap.pop().map(|Reverse((at, _, event))| (at, event))
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+}
 
 proptest! {
     #[test]
